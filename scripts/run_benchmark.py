@@ -16,6 +16,7 @@ invocations, so repeated studies are cheap and byte-reproducible.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -40,12 +41,14 @@ DATASET_SEEDS = {"labeled": 1000, "unlabeled": 2000, "test": 3000}
 
 
 def ensure_dataset(root: Path, name: str, config, count: int) -> SceneDataset:
-    """Generate the split once; later calls reuse the files on disk."""
+    """Generate the split once; later calls reuse the files on disk while
+    their manifest matches the requested count, seed and scene config."""
     split_dir = root / name
     manifest_path = split_dir / "manifest.json"
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
-        if manifest.get("count") == count and manifest.get("seed") == DATASET_SEEDS[name]:
+        wanted = {"count": count, "seed": DATASET_SEEDS[name], "config": dataclasses.asdict(config)}
+        if all(manifest.get(key) == value for key, value in wanted.items()):
             return SceneDataset(split_dir)
     save_dataset(split_dir, config, count, DATASET_SEEDS[name])
     return SceneDataset(split_dir)

@@ -5,93 +5,30 @@ The package is organised around a small set of numerical contracts:
 - :mod:`orientsemi.geometry` -- rotated boxes, exact polygon IoU, rotated NMS.
 - :mod:`orientsemi.transport` -- entropic optimal transport (Sinkhorn) with
   dual potentials and an analytic gradient for the dual-form matching loss.
-- :mod:`orientsemi.weighting` -- geometry-aware weights for unsupervised
-  pair losses.
+- :mod:`orientsemi.weighting` -- the geometry-aware pair weight, in scalar
+  reference form and vectorised for training.
 - :mod:`orientsemi.consistency` -- noise-contrasted global consistency loss
   built on the transport solver.
-- :mod:`orientsemi.sampling` -- dense pseudo-label selection (score filter,
-  rotated NMS, ratio sampling, hard-negative mining).
+- :mod:`orientsemi.sampling` -- dense pseudo-label selection (score floor and
+  top-N cap, rotated NMS, ratio sampling, hard-negative mining, top-k).
 - :mod:`orientsemi.scenes` -- synthetic oriented-scene generator and renderer.
 - :mod:`orientsemi.detector` -- a linear dense detector with closed-form
   gradients, small enough to train on one core.
-- :mod:`orientsemi.training` -- burn-in + EMA teacher-student loop.
+- :mod:`orientsemi.training` -- burn-in + EMA teacher-student loop, the
+  shared head-error block of both losses, sampler dispatch, pseudo-label
+  records and checkpoints.
 - :mod:`orientsemi.evaluation` -- rotated-box mAP.
-- :mod:`orientsemi.cli` -- command line entry points.
+- :mod:`orientsemi.cli` -- command line entry points, the documented
+  interface.
+- :mod:`orientsemi.records` -- canonical JSONL records, schemas and atomic
+  file replacement.
+- :mod:`orientsemi.config` -- the run configuration and its INI/dict forms.
 
 Everything is deterministic given a seed: a single PCG64 generator drives
 each run and its state travels through checkpoints.
+
+Import names from their modules; the package itself re-exports nothing,
+so importing one module does not load the others.
 """
-
-from orientsemi.geometry import (
-    RotatedBox,
-    normalize_angle,
-    rotated_iou,
-    rotated_nms,
-    iou_rotation_curve,
-)
-from orientsemi.transport import (
-    TransportProblem,
-    TransportSolution,
-    sinkhorn_solve,
-    build_cost_matrix,
-    gc_loss,
-)
-from orientsemi.weighting import PairGeometry, UnsupPairLoss, modulating_factor, gaw_loss
-from orientsemi.consistency import GlobalDistribution, NgcConfig, build_distribution, ngc_loss, perturb
-from orientsemi.sampling import DensePrediction, SamplerConfig, PseudoLabelSet, build_pairs
-from orientsemi.config import RunConfig, load_ini, save_ini, apply_overrides
-from orientsemi.scenes import SceneConfig, SyntheticScene, generate_scene, render_scene, generate_dataset, SceneDataset
-from orientsemi.detector import DetectorConfig, ToyDetectorParams, extract_features, predict_dense
-from orientsemi.training import Trainer, TrainState, run_training, save_checkpoint, load_checkpoint
-from orientsemi.evaluation import Detection, detect, evaluate_map, evaluate_model
-
-__all__ = [
-    "RotatedBox",
-    "normalize_angle",
-    "rotated_iou",
-    "rotated_nms",
-    "iou_rotation_curve",
-    "TransportProblem",
-    "TransportSolution",
-    "sinkhorn_solve",
-    "build_cost_matrix",
-    "gc_loss",
-    "PairGeometry",
-    "UnsupPairLoss",
-    "modulating_factor",
-    "gaw_loss",
-    "GlobalDistribution",
-    "NgcConfig",
-    "build_distribution",
-    "ngc_loss",
-    "perturb",
-    "DensePrediction",
-    "SamplerConfig",
-    "PseudoLabelSet",
-    "build_pairs",
-    "RunConfig",
-    "load_ini",
-    "save_ini",
-    "apply_overrides",
-    "SceneConfig",
-    "SyntheticScene",
-    "generate_scene",
-    "render_scene",
-    "generate_dataset",
-    "SceneDataset",
-    "DetectorConfig",
-    "ToyDetectorParams",
-    "extract_features",
-    "predict_dense",
-    "Trainer",
-    "TrainState",
-    "run_training",
-    "save_checkpoint",
-    "load_checkpoint",
-    "Detection",
-    "detect",
-    "evaluate_map",
-    "evaluate_model",
-]
 
 __version__ = "0.1.0"

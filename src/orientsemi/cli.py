@@ -165,9 +165,8 @@ def cmd_eval(args) -> int:
 def cmd_dump_pseudo(args) -> int:
     from orientsemi.detector import predict_dense
     from orientsemi.records import write_records
-    from orientsemi.sampling import build_pairs, topk_pairs
     from orientsemi.scenes import SceneDataset
-    from orientsemi.training import load_checkpoint
+    from orientsemi.training import load_checkpoint, pseudo_record, sample_pairs
 
     state = load_checkpoint(args.checkpoint)
     params = state.teacher if state.teacher is not None else state.student
@@ -178,26 +177,8 @@ def cmd_dump_pseudo(args) -> int:
     records = []
     for i in range(count):
         prediction = predict_dense(params, dataset.channels(i), config.detector)
-        if config.semi.sampler == "sids":
-            pairs = build_pairs(prediction, prediction, config.sampler_config(), rng)
-        else:
-            pairs = topk_pairs(prediction, prediction, config.semi.topk, config.semi.score_floor)
-        easy = int(np.count_nonzero(pairs.provenance == 0))
-        records.append(
-            {
-                "iter": state.iteration,
-                "scene_id": dataset.scenes[i].scene_id,
-                "flip": False,
-                "n_pairs": len(pairs),
-                "n_easy": easy,
-                "n_hard": len(pairs) - easy,
-                "positions": np.stack(
-                    [pairs.iy, pairs.ix, pairs.provenance], axis=1
-                ).tolist()
-                if len(pairs)
-                else [],
-            }
-        )
+        pairs = sample_pairs(prediction, prediction, config, rng)
+        records.append(pseudo_record(state.iteration, dataset.scenes[i].scene_id, False, pairs))
     out = args.out or output_root() / "pseudo.jsonl"
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     n = write_records(out, records)

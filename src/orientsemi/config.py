@@ -127,12 +127,12 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "scene": dataclasses.asdict(self.scene),
-            "detector": dataclasses.asdict(self.detector),
-            "semi": dataclasses.asdict(self.semi),
-            "tab1": dataclasses.asdict(self.tab1),
-        }
+        return {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**{name: section_cls(**data[name]) for name, section_cls in _SECTIONS.items()})
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

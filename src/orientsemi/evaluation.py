@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from orientsemi.geometry import RotatedBox, rotated_iou, rotated_nms
-from orientsemi.sampling import DensePrediction
+from orientsemi.sampling import DensePrediction, top_cells
 
 FULL_THRESHOLDS = tuple(np.round(np.arange(0.5, 0.96, 0.05), 2))
 
@@ -45,17 +45,12 @@ def detect(
     rotated NMS; then a global cap keeps the ``max_detections`` highest
     scores.  Deterministic for a fixed prediction.
     """
-    height, width = prediction.grid_shape
     out: list[Detection] = []
     for k in range(prediction.num_classes):
         scores = prediction.class_scores[:, :, k] * prediction.centerness
-        iy, ix = np.nonzero(scores >= score_floor)
+        iy, ix, flat_scores = top_cells(scores, scores >= score_floor, pre_nms_top)
         if iy.size == 0:
             continue
-        flat_scores = scores[iy, ix]
-        if iy.size > pre_nms_top:
-            order = np.lexsort((iy * width + ix, -flat_scores))[:pre_nms_top]
-            iy, ix, flat_scores = iy[order], ix[order], flat_scores[order]
         boxes = [prediction.box_at(int(y), int(x)) for y, x in zip(iy, ix)]
         # Per class only the best max_detections boxes can survive the
         # global cap, so the NMS scan may stop there: its kept list is
@@ -213,10 +208,3 @@ def evaluate_model(
         )
     return evaluate_map(detections, dataset.scenes, thresholds=thresholds)
 
-
-def ground_truth_detections(scene, score: float = 1.0) -> list[Detection]:
-    """Turn a scene's ground truth into perfect detections (sanity tool)."""
-    return [
-        Detection(box=RotatedBox(*row), score=score, class_index=int(cls))
-        for row, cls in zip(scene.boxes, scene.classes)
-    ]

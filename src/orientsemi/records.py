@@ -11,6 +11,7 @@ package).
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -23,10 +24,20 @@ def canonical_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` through a sibling temp file, so a
+    write that fails part-way leaves the previous file whole."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+    os.replace(tmp, path)
+
+
 def write_records(path: Path, records: Iterable[dict]) -> int:
     """Write records as canonical JSONL; returns the number written."""
     lines = [canonical_line(r) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode())
     return len(lines)
 
 

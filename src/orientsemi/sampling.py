@@ -98,18 +98,19 @@ class PackedItems:
 
 @dataclass
 class PseudoLabelSet:
-    """Paired teacher/student items at shared grid positions.
+    """Teacher items at the grid positions where teacher and student are
+    paired; the student side is read from its raw outputs at the same
+    cells.
 
     ``provenance`` is 0 for ratio-sampled in-box positions and 1 for
-    mined hard background positions.  ``class_index`` on both sides is
-    the teacher's argmax class: the class at which the pair is compared.
+    mined hard background positions.  ``teacher.class_index`` is the
+    teacher's argmax class: the class at which the pair is compared.
     """
 
     iy: np.ndarray
     ix: np.ndarray
     provenance: np.ndarray
     teacher: PackedItems
-    student: PackedItems
 
     def __len__(self) -> int:
         return self.iy.shape[0]
@@ -117,6 +118,24 @@ class PseudoLabelSet:
     def xy(self) -> np.ndarray:
         """Cell-center coordinates, shape (N, 2), columns (x, y)."""
         return np.stack([self.ix + 0.5, self.iy + 0.5], axis=1).astype(np.float64)
+
+
+def top_cells(
+    scores: np.ndarray, keep: np.ndarray, top: Optional[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid cells where ``keep`` holds, capped at the ``top`` highest
+    ``scores`` (no cap for ``None``).
+
+    Returns ``(iy, ix, scores at those cells)``: in row-major order when
+    the cap does not bite, otherwise in descending score order with ties
+    broken by flat index.
+    """
+    iy, ix = np.nonzero(keep)
+    values = scores[iy, ix]
+    if top is not None and iy.size > top:
+        order = np.lexsort((iy * scores.shape[1] + ix, -values))[:top]
+        iy, ix, values = iy[order], ix[order], values[order]
+    return iy, ix, values
 
 
 def candidate_detections(
@@ -129,13 +148,9 @@ def candidate_detections(
     barely-trained model floods the floor, and exists to bound runtime.
     """
     max_scores = prediction.class_scores.max(axis=2)
-    iy, ix = np.nonzero(max_scores >= config.score_floor)
+    iy, ix, scores = top_cells(max_scores, max_scores >= config.score_floor, config.pre_nms_top)
     if iy.size == 0:
         return [], np.empty(0)
-    scores = max_scores[iy, ix]
-    if iy.size > config.pre_nms_top:
-        order = np.lexsort((iy * prediction.grid_shape[1] + ix, -scores))[: config.pre_nms_top]
-        iy, ix, scores = iy[order], ix[order], scores[order]
     boxes = [prediction.box_at(int(y), int(x)) for y, x in zip(iy, ix)]
     kept = rotated_nms(boxes, scores, iou_threshold=config.nms_iou)
     return [boxes[i] for i in kept], scores[kept]
@@ -199,13 +214,13 @@ def mine_hard(
         foreground[cell_iy, cell_ix] = True
     foreground[easy_iy, easy_ix] = True
     candidate = (prediction.predicted_iou > threshold) & ~foreground
-    hard_iy, hard_ix = np.nonzero(candidate)
-    if max_hard is not None and hard_iy.size > max_hard:
-        quality = prediction.predicted_iou[hard_iy, hard_ix]
-        order = np.lexsort((hard_iy * width + hard_ix, -quality))[:max_hard]
-        order.sort()
-        hard_iy, hard_ix = hard_iy[order], hard_ix[order]
-    return hard_iy, hard_ix
+    hard_iy, hard_ix, _ = top_cells(prediction.predicted_iou, candidate, max_hard)
+    return _row_major(hard_iy, hard_ix, width)
+
+
+def _row_major(iy: np.ndarray, ix: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(iy * width + ix)
+    return iy[order], ix[order]
 
 
 def _pack(prediction: DensePrediction, iy: np.ndarray, ix: np.ndarray, class_index: np.ndarray) -> PackedItems:
@@ -217,21 +232,16 @@ def _pack(prediction: DensePrediction, iy: np.ndarray, ix: np.ndarray, class_ind
     )
 
 
-def _assemble(
-    teacher: DensePrediction,
-    student: DensePrediction,
-    iy: np.ndarray,
-    ix: np.ndarray,
-    provenance: np.ndarray,
-) -> PseudoLabelSet:
+def _assemble(teacher: DensePrediction, iy: np.ndarray, ix: np.ndarray, provenance: np.ndarray) -> PseudoLabelSet:
     class_index = np.argmax(teacher.class_scores[iy, ix], axis=1)
-    return PseudoLabelSet(
-        iy=iy,
-        ix=ix,
-        provenance=provenance,
-        teacher=_pack(teacher, iy, ix, class_index),
-        student=_pack(student, iy, ix, class_index),
-    )
+    return PseudoLabelSet(iy=iy, ix=ix, provenance=provenance, teacher=_pack(teacher, iy, ix, class_index))
+
+
+def _check_grids(teacher: DensePrediction, student: DensePrediction) -> None:
+    if teacher.grid_shape != student.grid_shape:
+        raise ValueError(
+            f"grid mismatch: teacher {teacher.grid_shape}, student {student.grid_shape}"
+        )
 
 
 def build_pairs(
@@ -240,15 +250,12 @@ def build_pairs(
     config: SamplerConfig,
     rng: np.random.Generator,
 ) -> PseudoLabelSet:
-    """Run the full sampler and gather paired items at the positions.
+    """Run the full sampler and gather the teacher's items at the positions.
 
-    Teacher and student must share a grid.  The rng is consumed only by
-    the in-box ratio sampling.
+    Teacher and student must share a grid; the student is read only for
+    that check.  The rng is consumed only by the in-box ratio sampling.
     """
-    if teacher.grid_shape != student.grid_shape:
-        raise ValueError(
-            f"grid mismatch: teacher {teacher.grid_shape}, student {student.grid_shape}"
-        )
+    _check_grids(teacher, student)
     kept_boxes, _ = candidate_detections(teacher, config)
     easy_iy, easy_ix = sample_easy(teacher, kept_boxes, config.sample_ratio, rng)
     hard_iy, hard_ix = mine_hard(
@@ -262,7 +269,7 @@ def build_pairs(
             np.full(hard_iy.size, PROVENANCE_HARD, dtype=np.int8),
         ]
     )
-    return _assemble(teacher, student, iy, ix, provenance)
+    return _assemble(teacher, iy, ix, provenance)
 
 
 def topk_pairs(
@@ -277,19 +284,11 @@ def topk_pairs(
     row-major order.  Used as the comparison point for the ratio
     sampler.
     """
-    if teacher.grid_shape != student.grid_shape:
-        raise ValueError(
-            f"grid mismatch: teacher {teacher.grid_shape}, student {student.grid_shape}"
-        )
+    _check_grids(teacher, student)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     max_scores = teacher.class_scores.max(axis=2)
-    iy, ix = np.nonzero(max_scores >= score_floor)
-    if iy.size > 0 and iy.size > k:
-        scores = max_scores[iy, ix]
-        width = teacher.grid_shape[1]
-        order = np.lexsort((iy * width + ix, -scores))[:k]
-        order.sort()
-        iy, ix = iy[order], ix[order]
+    iy, ix, _ = top_cells(max_scores, max_scores >= score_floor, k)
+    iy, ix = _row_major(iy, ix, teacher.grid_shape[1])
     provenance = np.full(iy.size, PROVENANCE_EASY, dtype=np.int8)
-    return _assemble(teacher, student, iy, ix, provenance)
+    return _assemble(teacher, iy, ix, provenance)

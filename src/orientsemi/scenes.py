@@ -279,29 +279,15 @@ def flip_scene(scene: SyntheticScene, channels: np.ndarray) -> tuple[SyntheticSc
 class AugmentConfig:
     """Stochastic view parameters.
 
-    Weak views only flip.  Strong views share the weak view's flip and
-    add pixel jitter plus a blur; with all three amplitudes at 0 a strong
-    view equals the weak view bit-for-bit.
+    Weak views only flip (:func:`flip_scene`).  Strong views share the
+    weak view's flip and add pixel jitter plus a blur; with all three
+    amplitudes at 0 a strong view equals the flipped scene bit-for-bit.
     """
 
     flip_probability: float = 0.5
     add_sigma: float = 0.05
     mul_sigma: float = 0.1
     blur_sigma: float = 0.6
-
-
-def weak_augment(
-    scene: SyntheticScene,
-    channels: np.ndarray,
-    rng: np.random.Generator,
-    config: AugmentConfig,
-) -> tuple[SyntheticScene, np.ndarray, bool]:
-    """Random horizontal flip.  Returns the drawn flip so a strong view
-    of the same scene can reuse it."""
-    flip = bool(rng.random() < config.flip_probability)
-    if flip:
-        scene, channels = flip_scene(scene, channels)
-    return scene, channels, flip
 
 
 def strong_augment(
@@ -432,10 +418,3 @@ class SceneDataset:
 
     def channels(self, i: int) -> np.ndarray:
         return np.load(self.root / self._records[i]["file"])
-
-    def num_classes(self) -> int:
-        cfg = self.manifest.get("config", {})
-        if "num_classes" in cfg:
-            return int(cfg["num_classes"])
-        top = max((int(s.classes.max()) for s in self.scenes if len(s)), default=0)
-        return top + 1

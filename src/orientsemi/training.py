@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from orientsemi.config import RunConfig
-from orientsemi.consistency import GlobalDistribution, ngc_loss
+from orientsemi.consistency import build_distribution, ngc_loss
 from orientsemi.detector import (
     DIRECTION_EPS,
     OFF_COS,
@@ -41,13 +41,16 @@ from orientsemi.detector import (
     OFF_LOGW,
     OFF_SIN,
     ToyDetectorParams,
+    decode_angle,
     decode_dense,
     extract_features,
     forward,
 )
 from orientsemi.geometry import RotatedBox, grid_cells_in_box
-from orientsemi.sampling import PseudoLabelSet, build_pairs, topk_pairs
+from orientsemi.records import canonical_line, write_atomic, write_records
+from orientsemi.sampling import PROVENANCE_EASY, DensePrediction, PseudoLabelSet, build_pairs, topk_pairs
 from orientsemi.scenes import SyntheticScene, flip_scene, strong_augment
+from orientsemi.weighting import pair_weights
 
 CHECKPOINT_MAGIC = b"ORIENTSEMI-CKPT v1\n"
 # Feature matrices dominate run memory (22 rows x H*W float64), so the
@@ -176,6 +179,33 @@ def _direction_grads(
     return dc, ds
 
 
+def head_errors(
+    raw: np.ndarray,
+    k: int,
+    cols: np.ndarray,
+    box_targets: Sequence[np.ndarray],
+    t_cos: np.ndarray,
+    t_sin: np.ndarray,
+) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Head outputs against box targets at the grid columns ``cols``, the
+    forward part shared by the supervised and the pair loss.
+
+    Returns ``(errs, c_raw, s_raw, err_cos, err_sin, z_ctr)``: ``errs``
+    maps each offset/size head (dx, dy, log w, log h, in that order) to
+    output minus target; the direction errors are on the unit-normalised
+    (c, s) pair; ``z_ctr`` are the centerness logits.  Each caller keeps
+    its own reduction and gradient scaling.
+    """
+    errs = {
+        offset: raw[k + offset, cols] - target
+        for offset, target in zip((OFF_DX, OFF_DY, OFF_LOGW, OFF_LOGH), box_targets)
+    }
+    c_raw = raw[k + OFF_COS, cols]
+    s_raw = raw[k + OFF_SIN, cols]
+    norm = np.sqrt(c_raw * c_raw + s_raw * s_raw + DIRECTION_EPS)
+    return errs, c_raw, s_raw, c_raw / norm - t_cos, s_raw / norm - t_sin, raw[k + OFF_CTR, cols]
+
+
 def supervised_loss(
     params: ToyDetectorParams,
     features: np.ndarray,
@@ -209,30 +239,19 @@ def supervised_loss(
     loss_reg = 0.0
     loss_ctr = 0.0
     if pos.size:
-        errors = []
-        for offset, target in (
-            (OFF_DX, targets.t_dx),
-            (OFF_DY, targets.t_dy),
-            (OFF_LOGW, targets.t_logw),
-            (OFF_LOGH, targets.t_logh),
-        ):
-            err = raw[k + offset, pos] - target
-            errors.append(err)
+        errs, c_raw, s_raw, err_cos, err_sin, z_ctr = head_errors(
+            raw, k, pos, (targets.t_dx, targets.t_dy, targets.t_logw, targets.t_logh), targets.t_cos, targets.t_sin
+        )
+        for offset, err in errs.items():
             d_raw[k + offset, pos] = smooth_l1_grad(err) / n_pos
-        c_raw = raw[k + OFF_COS, pos]
-        s_raw = raw[k + OFF_SIN, pos]
-        norm = np.sqrt(c_raw * c_raw + s_raw * s_raw + DIRECTION_EPS)
-        err_cos = c_raw / norm - targets.t_cos
-        err_sin = s_raw / norm - targets.t_sin
         dc, ds = _direction_grads(c_raw, s_raw, smooth_l1_grad(err_cos), smooth_l1_grad(err_sin))
         d_raw[k + OFF_COS, pos] = dc / n_pos
         d_raw[k + OFF_SIN, pos] = ds / n_pos
         loss_reg = float(
-            sum(smooth_l1(e).sum() for e in errors)
+            sum(smooth_l1(e).sum() for e in errs.values())
             + smooth_l1(err_cos).sum()
             + smooth_l1(err_sin).sum()
         ) / n_pos
-        z_ctr = raw[k + OFF_CTR, pos]
         loss_ctr = float(binary_cross_entropy(z_ctr, targets.t_ctr).sum()) / n_pos
         d_raw[k + OFF_CTR, pos] = (expit(z_ctr) - targets.t_ctr) / n_pos
 
@@ -303,24 +322,18 @@ def weighted_pair_loss(
     p_cls = expit(z_cls)
     cls_pair = binary_cross_entropy(z_cls, t_cls).sum(axis=0)
 
-    errs = {}
-    for offset, target in (
-        (OFF_DX, t_boxes[:, 0] - px),
-        (OFF_DY, t_boxes[:, 1] - py),
-        (OFF_LOGW, np.log(t_boxes[:, 2])),
-        (OFF_LOGH, np.log(t_boxes[:, 3])),
-    ):
-        errs[offset] = raw[k + offset, cols] - target
-    c_raw = raw[k + OFF_COS, cols]
-    s_raw = raw[k + OFF_SIN, cols]
-    norm = np.sqrt(c_raw * c_raw + s_raw * s_raw + DIRECTION_EPS)
-    err_cos = c_raw / norm - np.cos(2.0 * t_boxes[:, 4])
-    err_sin = s_raw / norm - np.sin(2.0 * t_boxes[:, 4])
+    errs, c_raw, s_raw, err_cos, err_sin, z_ctr = head_errors(
+        raw,
+        k,
+        cols,
+        (t_boxes[:, 0] - px, t_boxes[:, 1] - py, np.log(t_boxes[:, 2]), np.log(t_boxes[:, 3])),
+        np.cos(2.0 * t_boxes[:, 4]),
+        np.sin(2.0 * t_boxes[:, 4]),
+    )
     reg_pair = (
         sum(smooth_l1(e) for e in errs.values()) + smooth_l1(err_cos) + smooth_l1(err_sin)
     )
 
-    z_ctr = raw[k + OFF_CTR, cols]
     t_ctr = pairs.teacher.centerness
     ctr_pair = binary_cross_entropy(z_ctr, t_ctr)
 
@@ -330,14 +343,15 @@ def weighted_pair_loss(
         omega = np.asarray(omega_override, dtype=np.float64)
     elif enable_gaw:
         log_lo, log_hi = math.log(min_side), math.log(max_side)
-        student_angle = 0.5 * np.arctan2(s_raw, c_raw)
-        gap = np.abs(t_boxes[:, 4] - student_angle)
         lw = np.clip(raw[k + OFF_LOGW, cols], log_lo, log_hi)
         lh = np.clip(raw[k + OFF_LOGH, cols], log_lo, log_hi)
-        aspect_s = np.exp(np.abs(lw - lh))
-        aspect_t = np.maximum(t_boxes[:, 2], t_boxes[:, 3]) / np.minimum(t_boxes[:, 2], t_boxes[:, 3])
-        mean_aspect = 0.5 * (aspect_t + aspect_s)
-        omega = 1.0 + (psi / math.pi) * gap * mean_aspect
+        omega = pair_weights(
+            t_boxes[:, 4],
+            decode_angle(c_raw, s_raw),
+            np.maximum(t_boxes[:, 2], t_boxes[:, 3]) / np.minimum(t_boxes[:, 2], t_boxes[:, 3]),
+            np.exp(np.abs(lw - lh)),
+            psi,
+        )
     else:
         omega = np.ones(n_pairs)
 
@@ -383,17 +397,10 @@ def consistency_loss(
     cols = pairs.iy * width + pairs.ix
     cls_idx = pairs.teacher.class_index
     xy = pairs.xy()
-    teacher_dist = GlobalDistribution(
-        values=np.exp(pairs.teacher.score_rows[np.arange(n_pairs), cls_idx]),
-        positions=xy,
-        scores=pairs.teacher.score_rows[np.arange(n_pairs), cls_idx],
-        class_index=cls_idx,
-    )
-    z_pair = raw[cls_idx, cols]
-    p_pair = expit(z_pair)
-    student_dist = GlobalDistribution(
-        values=np.exp(p_pair), positions=xy, scores=p_pair, class_index=cls_idx
-    )
+    teacher_dist = build_distribution(xy, pairs.teacher.score_rows, cls_idx)
+    # Student mass is exp(sigmoid(logit)) at the teacher's class.
+    student_dist = build_distribution(xy, expit(raw[:k][:, cols]).T, cls_idx)
+    p_pair = student_dist.scores
     result = ngc_loss(teacher_dist, student_dist, config.ngc_config(), rng)
     diag = {
         "gated": result.gated,
@@ -409,6 +416,30 @@ def consistency_loss(
     d_cols[cls_idx, np.arange(n_pairs)] = d_z
     grad = d_cols @ features[:, cols].T
     return result.loss, grad, diag
+
+
+def sample_pairs(
+    teacher: DensePrediction, student: DensePrediction, config: RunConfig, rng: np.random.Generator
+) -> PseudoLabelSet:
+    """Pair positions from the configured sampler: the dense SIDS sampler
+    or the top-k baseline (which draws nothing from ``rng``)."""
+    if config.semi.sampler == "sids":
+        return build_pairs(teacher, student, config.sampler_config(), rng)
+    return topk_pairs(teacher, student, config.semi.topk, config.semi.score_floor)
+
+
+def pseudo_record(iteration: int, scene_id: int, flip: bool, pairs: PseudoLabelSet) -> dict:
+    """One ``pseudo.jsonl`` record: the pairs sampled on one scene view."""
+    easy = int(np.count_nonzero(pairs.provenance == PROVENANCE_EASY))
+    return {
+        "iter": iteration,
+        "scene_id": scene_id,
+        "flip": flip,
+        "n_pairs": len(pairs),
+        "n_easy": easy,
+        "n_hard": len(pairs) - easy,
+        "positions": np.stack([pairs.iy, pairs.ix, pairs.provenance], axis=1).tolist() if len(pairs) else [],
+    }
 
 
 @dataclass
@@ -468,6 +499,8 @@ class Trainer:
         self._features: OrderedDict = OrderedDict()
         self._feature_bytes = 0
         self._targets: dict = {}
+        # (scene_id, flip, pairs) per unlabeled view of the last step.
+        self.last_pairs: list[tuple[int, bool, PseudoLabelSet]] = []
 
     def features_for(self, tag: str, index: int, flip: bool) -> tuple[SyntheticScene, np.ndarray]:
         dataset = self.labeled if tag == "lab" else self.unlabeled
@@ -540,7 +573,7 @@ class Trainer:
         n_pairs = 0
         n_easy = 0
         n_hard = 0
-        pseudo_records = []
+        self.last_pairs = []
         use_unsup = state.teacher is not None and not semi.supervised_only
         if use_unsup and unlabeled_indices:
             w = semi.unsup_weight
@@ -560,11 +593,7 @@ class Trainer:
                 student_raw = forward(state.student, strong_features)
                 student_pred = decode_dense(state.student, student_raw, height, width, config.detector)
 
-                if semi.sampler == "sids":
-                    pairs = build_pairs(teacher_pred, student_pred, config.sampler_config(), rng)
-                else:
-                    pairs = topk_pairs(teacher_pred, student_pred, semi.topk, semi.score_floor)
-
+                pairs = sample_pairs(teacher_pred, student_pred, config, rng)
                 gaw_i, gaw_grad, _ = weighted_pair_loss(
                     state.student,
                     student_raw,
@@ -590,21 +619,10 @@ class Trainer:
                     grad += (w / batch) * ngc_grad
 
                 n_pairs += len(pairs)
-                easy = int(np.count_nonzero(pairs.provenance == 0))
+                easy = int(np.count_nonzero(pairs.provenance == PROVENANCE_EASY))
                 n_easy += easy
                 n_hard += len(pairs) - easy
-                pseudo_records.append(
-                    {
-                        "scene_id": scene.scene_id,
-                        "flip": flip,
-                        "n_pairs": len(pairs),
-                        "n_easy": easy,
-                        "n_hard": len(pairs) - easy,
-                        "positions": np.stack([pairs.iy, pairs.ix, pairs.provenance], axis=1).tolist()
-                        if len(pairs)
-                        else [],
-                    }
-                )
+                self.last_pairs.append((scene.scene_id, flip, pairs))
 
         lr = learning_rate_at(config, state.iteration)
         grad += semi.weight_decay * state.student.weights
@@ -639,7 +657,6 @@ class Trainer:
             "n_hard": n_hard,
             "grad_norm": grad_norm,
         }
-        self.last_pseudo_records = pseudo_records
         return metrics
 
 
@@ -658,20 +675,15 @@ def save_checkpoint(path: Path, state: TrainState) -> None:
     }
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
-    blob += (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    blob += (canonical_line(meta) + "\n").encode()
     blob += np.ascontiguousarray(state.student.weights).tobytes()
     if state.teacher is not None:
         blob += np.ascontiguousarray(state.teacher.weights).tobytes()
     blob += np.ascontiguousarray(state.momentum_buffer).tobytes()
-    Path(path).write_bytes(bytes(blob))
+    write_atomic(path, bytes(blob))
 
 
 def load_checkpoint(path: Path) -> TrainState:
-    from orientsemi.config import RunConfig as _RunConfig
-    from orientsemi.config import SemiConfig, Tab1Config
-    from orientsemi.detector import DetectorConfig
-    from orientsemi.scenes import SceneConfig
-
     data = Path(path).read_bytes()
     if not data.startswith(CHECKPOINT_MAGIC):
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
@@ -686,13 +698,7 @@ def load_checkpoint(path: Path) -> TrainState:
     expected = block * (3 if meta["has_teacher"] else 2)
     if len(payload) != expected:
         raise ValueError(f"checkpoint payload is {len(payload)} bytes, expected {expected}")
-    cfg_dict = meta["config"]
-    config = _RunConfig(
-        scene=SceneConfig(**cfg_dict["scene"]),
-        detector=DetectorConfig(**cfg_dict["detector"]),
-        semi=SemiConfig(**cfg_dict["semi"]),
-        tab1=Tab1Config(**cfg_dict["tab1"]),
-    )
+    config = RunConfig.from_dict(meta["config"])
     offset = 0
 
     def take() -> np.ndarray:
@@ -763,7 +769,7 @@ def run_training(
 
     all_metrics: list[dict] = []
     lines: list[str] = list(kept_lines)
-    pseudo_lines: list[str] = []
+    pseudo: list[dict] = []
     n_labeled = len(labeled.scenes)
     n_unlabeled = len(unlabeled.scenes) if unlabeled is not None else 0
     last_iter = semi.total_iters if stop_after is None else min(stop_after, semi.total_iters)
@@ -777,23 +783,21 @@ def run_training(
         )
         record = trainer.train_step(state, labeled_idx, unlabeled_idx)
         all_metrics.append(record)
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        lines.append(canonical_line(record))
         if dump_pseudo:
-            for pseudo in trainer.last_pseudo_records:
-                pseudo_lines.append(
-                    json.dumps({"iter": record["iter"], **pseudo}, sort_keys=True, separators=(",", ":"))
-                )
+            pseudo += [pseudo_record(record["iter"], *view) for view in trainer.last_pairs]
         if (
             checkpoint_path is not None
             and checkpoint_every > 0
             and state.iteration % checkpoint_every == 0
             and state.iteration < semi.total_iters
         ):
+            # Metrics first: a checkpoint never runs ahead of its lines.
+            write_atomic(metrics_path, "".join(line + "\n" for line in lines).encode())
             save_checkpoint(checkpoint_path, state)
-            metrics_path.write_text("\n".join(lines) + "\n")
     if metrics_path is not None:
-        metrics_path.write_text("\n".join(lines) + ("\n" if lines else ""))
+        write_atomic(metrics_path, "".join(line + "\n" for line in lines).encode())
         save_checkpoint(checkpoint_path, state)
         if pseudo_path is not None:
-            pseudo_path.write_text("\n".join(pseudo_lines) + ("\n" if pseudo_lines else ""))
+            write_records(pseudo_path, pseudo)
     return state, all_metrics

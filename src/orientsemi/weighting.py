@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -39,25 +40,6 @@ class PairGeometry:
             )
 
 
-@dataclass(frozen=True)
-class UnsupPairLoss:
-    """Per-pair unsupervised loss components, each a non-negative sum."""
-
-    cls_loss: float
-    reg_loss: float
-    centerness_loss: float
-
-    def __post_init__(self) -> None:
-        for name in ("cls_loss", "reg_loss", "centerness_loss"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-    @property
-    def total(self) -> float:
-        return self.cls_loss + self.reg_loss + self.centerness_loss
-
-
 def modulating_factor(geometry: PairGeometry, psi: float = 50.0) -> float:
     """Weight ``1 + psi * |angle gap| / pi * mean aspect``.
 
@@ -73,12 +55,18 @@ def modulating_factor(geometry: PairGeometry, psi: float = 50.0) -> float:
     return 1.0 + psi * (gap / math.pi) * mean_aspect
 
 
-def gaw_loss(
-    pairs: Iterable[tuple[PairGeometry, UnsupPairLoss]],
-    psi: float = 50.0,
-) -> float:
-    """Sum of per-pair losses, each scaled by its modulating factor."""
-    total = 0.0
-    for geometry, pair_loss in pairs:
-        total += modulating_factor(geometry, psi) * pair_loss.total
-    return total
+def pair_weights(
+    teacher_angle: np.ndarray,
+    student_angle: np.ndarray,
+    teacher_aspect: np.ndarray,
+    student_aspect: np.ndarray,
+    psi: float,
+) -> np.ndarray:
+    """Vectorised :func:`modulating_factor`, one weight per pair.
+
+    Same formula, grouped as ``1 + (psi / pi) * gap * mean aspect``, so
+    values agree with the scalar form to rounding, not bit for bit.
+    """
+    gap = np.abs(teacher_angle - student_angle)
+    mean_aspect = 0.5 * (teacher_aspect + student_aspect)
+    return 1.0 + (psi / math.pi) * gap * mean_aspect

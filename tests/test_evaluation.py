@@ -9,7 +9,6 @@ from orientsemi.evaluation import (
     detect,
     evaluate_map,
     evaluate_model,
-    ground_truth_detections,
 )
 from orientsemi.geometry import RotatedBox
 from orientsemi.sampling import DensePrediction
@@ -25,6 +24,14 @@ def make_scene(boxes, classes, size=32):
         layout="uniform",
         scene_id=0,
     )
+
+
+def ground_truth_detections(scene, score=1.0):
+    """A scene's ground truth as perfect detections."""
+    return [
+        Detection(box=RotatedBox(*row), score=score, class_index=int(cls))
+        for row, cls in zip(scene.boxes, scene.classes)
+    ]
 
 
 def blank_prediction(height=16, width=16, num_classes=2):

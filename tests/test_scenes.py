@@ -17,7 +17,6 @@ from orientsemi.scenes import (
     render_scene,
     save_dataset,
     strong_augment,
-    weak_augment,
 )
 
 
@@ -159,8 +158,10 @@ class TestAugment:
         cfg = small_config()
         scene, channels = generate_scene(cfg, np.random.default_rng(21))
         aug = AugmentConfig(flip_probability=1.0, add_sigma=0.0, mul_sigma=0.0, blur_sigma=0.0)
-        _, weak, flip = weak_augment(scene, channels, np.random.default_rng(0), aug)
-        _, strong, _ = strong_augment(scene, channels, np.random.default_rng(0), aug, flip=flip)
+        # The weak view is the flipped scene; flip_probability 1 draws a flip.
+        _, weak = flip_scene(scene, channels)
+        _, strong, flip = strong_augment(scene, channels, np.random.default_rng(0), aug)
+        assert flip is True
         np.testing.assert_array_equal(strong, weak)
 
     def test_strong_respects_pinned_flip(self):

@@ -3,6 +3,7 @@ burn-in, checkpointing, and bit-exact resume."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,12 +278,6 @@ class TestWeightedPairLoss:
             ix=np.empty(0, dtype=np.int64),
             provenance=np.empty(0, dtype=np.int8),
             teacher=PackedItems(
-                boxes=np.empty((0, 5)),
-                score_rows=np.empty((0, 3)),
-                centerness=np.empty(0),
-                class_index=np.empty(0, dtype=np.int64),
-            ),
-            student=PackedItems(
                 boxes=np.empty((0, 5)),
                 score_rows=np.empty((0, 3)),
                 centerness=np.empty(0),
@@ -594,6 +589,53 @@ class TestCheckpointing:
         assert (split_dir / "metrics.jsonl").read_bytes() == (
             full_dir / "metrics.jsonl"
         ).read_bytes()
+
+    def test_write_failing_midway_keeps_last_checkpoint(self, tmp_path, monkeypatch):
+        from orientsemi import records
+
+        config = tiny_run_config()
+        labeled, unlabeled = make_datasets(config)
+        full_dir = tmp_path / "full"
+        run_training(config, labeled, unlabeled, out_dir=full_dir)
+
+        class TornFile:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[: len(data) // 2])
+                raise OSError("No space left on device")
+
+        checkpoint_writes = []
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            handle = open(path, mode, *args, **kwargs)
+            if Path(path).name.startswith("checkpoint.bin"):
+                checkpoint_writes.append(path)
+                if len(checkpoint_writes) == 2:
+                    return TornFile(handle)
+            return handle
+
+        split_dir = tmp_path / "split"
+        monkeypatch.setattr(records, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            run_training(config, labeled, unlabeled, out_dir=split_dir, checkpoint_every=5)
+        monkeypatch.undo()
+
+        assert load_checkpoint(split_dir / "checkpoint.bin").iteration == 5
+        run_training(
+            config, labeled, unlabeled, out_dir=split_dir, resume_from=split_dir / "checkpoint.bin"
+        )
+        for name in ("metrics.jsonl", "checkpoint.bin"):
+            assert (split_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
 
     def test_resume_rejects_config_mismatch(self, tmp_path):
         config = tiny_run_config()

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orientsemi.weighting import PairGeometry, UnsupPairLoss, gaw_loss, modulating_factor
+from orientsemi.weighting import PairGeometry, modulating_factor, pair_weights
 
 angles = st.floats(-math.pi / 2, math.pi / 2)
 aspects = st.floats(1.0, 8.0)
@@ -25,10 +26,6 @@ class TestValidation:
     def test_rejects_nonfinite_angle(self):
         with pytest.raises(ValueError):
             PairGeometry(float("nan"), 0.0, 1.0, 1.0)
-
-    def test_rejects_negative_loss(self):
-        with pytest.raises(ValueError):
-            UnsupPairLoss(-0.1, 0.0, 0.0)
 
     def test_rejects_negative_psi(self):
         with pytest.raises(ValueError):
@@ -82,30 +79,63 @@ class TestModulatingFactor:
         assert modulating_factor(geom, 50.0) == pytest.approx(expected, abs=1e-12)
 
 
+def weights_of(geoms, psi):
+    """:func:`pair_weights` on the fields of a list of geometries."""
+    fields = ("teacher_angle", "student_angle", "teacher_aspect", "student_aspect")
+    return pair_weights(*(np.array([getattr(g, f) for g in geoms]) for f in fields), psi)
+
+
+def weighted_sum(pairs, psi):
+    """Sum of per-pair loss totals scaled by the vectorised weights, the
+    reduction ``weighted_pair_loss`` applies before its mean."""
+    omega = weights_of([g for g, _ in pairs], psi)
+    return float(omega @ np.array([sum(losses) for _, losses in pairs]))
+
+
+class TestPairWeights:
+    @given(st.lists(geometries, min_size=1, max_size=8), st.floats(0.0, 100.0))
+    def test_matches_scalar_reference(self, geoms, psi):
+        omega = weights_of(geoms, psi)
+        for weight, geom in zip(omega, geoms):
+            assert weight == pytest.approx(modulating_factor(geom, psi), rel=1e-12)
+
+    @given(st.lists(geometries, min_size=1, max_size=8))
+    def test_psi_zero_gives_exactly_one(self, geoms):
+        omega = weights_of(geoms, 0.0)
+        np.testing.assert_array_equal(omega, 1.0)
+
+    @given(angles, aspects, aspects)
+    def test_equal_angles_give_exactly_one(self, angle, ta, sa):
+        omega = pair_weights(np.array([angle]), np.array([angle]), np.array([ta]), np.array([sa]), 50.0)
+        assert omega[0] == 1.0 == modulating_factor(PairGeometry(angle, angle, ta, sa), 50.0)
+
+
 class TestGawLoss:
+    """The weighted pair-loss sum, built on :func:`pair_weights`."""
+
     def test_sum_of_weighted_pairs(self):
         pairs = [
-            (PairGeometry(0.0, 0.0, 1.0, 1.0), UnsupPairLoss(1.0, 2.0, 3.0)),
-            (PairGeometry(math.pi / 4, -math.pi / 4, 1.0, 1.0), UnsupPairLoss(0.5, 0.0, 0.5)),
+            (PairGeometry(0.0, 0.0, 1.0, 1.0), (1.0, 2.0, 3.0)),
+            (PairGeometry(math.pi / 4, -math.pi / 4, 1.0, 1.0), (0.5, 0.0, 0.5)),
         ]
         # First pair weight 1 on total 6; second weight 26 on total 1.
-        assert gaw_loss(pairs, psi=50.0) == pytest.approx(6.0 + 26.0, abs=1e-12)
+        assert weighted_sum(pairs, psi=50.0) == pytest.approx(6.0 + 26.0, abs=1e-12)
 
     def test_empty_is_zero(self):
-        assert gaw_loss([], psi=50.0) == 0.0
+        assert weighted_sum([], psi=50.0) == 0.0
 
     @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0))
     def test_linear_in_pair_loss(self, scale_a, scale_b):
         geom = PairGeometry(0.2, -0.1, 3.0, 2.0)
-        base = UnsupPairLoss(1.0, 1.0, 1.0)
-        scaled = UnsupPairLoss(scale_a, scale_b, 0.0)
-        lhs = gaw_loss([(geom, base)], 50.0) + gaw_loss([(geom, scaled)], 50.0)
-        both = gaw_loss([(geom, base), (geom, scaled)], 50.0)
+        base = (1.0, 1.0, 1.0)
+        scaled = (scale_a, scale_b, 0.0)
+        lhs = weighted_sum([(geom, base)], 50.0) + weighted_sum([(geom, scaled)], 50.0)
+        both = weighted_sum([(geom, base), (geom, scaled)], 50.0)
         assert both == pytest.approx(lhs, rel=1e-12)
 
     def test_psi_zero_recovers_unweighted_sum(self):
         pairs = [
-            (PairGeometry(0.7, -0.7, 5.0, 3.0), UnsupPairLoss(1.0, 2.0, 0.5)),
-            (PairGeometry(0.1, 0.4, 2.0, 8.0), UnsupPairLoss(0.3, 0.0, 0.2)),
+            (PairGeometry(0.7, -0.7, 5.0, 3.0), (1.0, 2.0, 0.5)),
+            (PairGeometry(0.1, 0.4, 2.0, 8.0), (0.3, 0.0, 0.2)),
         ]
-        assert gaw_loss(pairs, psi=0.0) == pytest.approx(3.5 + 0.5, abs=1e-12)
+        assert weighted_sum(pairs, psi=0.0) == pytest.approx(3.5 + 0.5, abs=1e-12)
