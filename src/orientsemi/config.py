@@ -59,7 +59,7 @@ class SemiConfig:
     enable_gaw: bool = True
     enable_ngc: bool = True
     ot_epsilon: float = 0.1
-    ot_max_iters: int = 1000
+    ot_max_iters: int = 10000
     ot_tolerance: float = 1e-6
     plan_weighting: str = "none"
     score_floor: float = 0.05

@@ -241,7 +241,9 @@ def ngc_loss(
             "n_pairs": n,
             "clean_iterations": clean.solution.iterations,
             "clean_converged": clean.solution.converged,
+            "clean_marginal_error": clean.solution.marginal_error,
             "noisy_iterations": noisy.solution.iterations,
             "noisy_converged": noisy.solution.converged,
+            "noisy_marginal_error": noisy.solution.marginal_error,
         },
     )

@@ -47,7 +47,7 @@ from orientsemi.detector import (
     forward,
 )
 from orientsemi.geometry import RotatedBox, grid_cells_in_box
-from orientsemi.records import canonical_line, write_atomic, write_records
+from orientsemi.records import canonical_line, write_atomic
 from orientsemi.sampling import PROVENANCE_EASY, DensePrediction, PseudoLabelSet, build_pairs, topk_pairs
 from orientsemi.scenes import SyntheticScene, flip_scene, strong_augment
 from orientsemi.weighting import pair_weights
@@ -388,7 +388,12 @@ def consistency_loss(
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray, dict]:
     """Global consistency term and its gradient via the student's class
-    logits at the paired positions."""
+    logits at the paired positions.
+
+    Raises ``RuntimeError`` if either transport solve stops at
+    ``semi.ot_max_iters`` without meeting ``semi.ot_tolerance``: its
+    potentials are not the optimum the gradient assumes.
+    """
     n_pairs = len(pairs)
     zero = np.zeros_like(params.weights)
     if n_pairs == 0:
@@ -410,6 +415,14 @@ def consistency_loss(
     }
     if result.gated:
         return 0.0, zero, diag
+    for solve in ("clean", "noisy"):
+        if not result.diagnostics[f"{solve}_converged"]:
+            raise RuntimeError(
+                f"{solve} Sinkhorn solve on n={n_pairs} pairs did not converge: "
+                f"{result.diagnostics[f'{solve}_iterations']} iterations, marginal error "
+                f"{result.diagnostics[f'{solve}_marginal_error']!r} "
+                f"(tolerance {config.semi.ot_tolerance!r})"
+            )
     # Chain: mass = exp(sigmoid(z)), d mass/dz = mass * p * (1 - p).
     d_z = result.grad_values * student_dist.values * p_pair * (1.0 - p_pair)
     d_cols = np.zeros((raw.shape[0], n_pairs))
@@ -627,6 +640,12 @@ class Trainer:
         lr = learning_rate_at(config, state.iteration)
         grad += semi.weight_decay * state.student.weights
         grad_norm = float(np.linalg.norm(grad))
+        if not math.isfinite(grad_norm):
+            raise FloatingPointError(
+                f"iteration {state.iteration}: gradient norm is {grad_norm!r} "
+                f"(loss_s={loss_s!r}, loss_gaw={loss_gaw!r}, loss_ngc={loss_ngc!r}); "
+                "weights left unchanged"
+            )
         if semi.grad_clip > 0.0 and grad_norm > semi.grad_clip:
             grad *= semi.grad_clip / grad_norm
         state.momentum_buffer *= semi.momentum
@@ -738,11 +757,13 @@ def run_training(
 ) -> tuple[TrainState, list[dict]]:
     """Drive the full loop and write metrics/checkpoint artifacts.
 
-    Writes ``metrics.jsonl`` (one record per iteration) and
-    ``checkpoint.bin`` under ``out_dir`` if given.  With ``resume_from``
-    the loop continues a saved state; previously written metric lines
-    past the checkpoint's iteration are discarded so the finished file
-    is byte-identical to an uninterrupted run.  ``stop_after`` halts at
+    Writes ``metrics.jsonl`` (one record per iteration),
+    ``checkpoint.bin`` and, with ``dump_pseudo``, ``pseudo.jsonl`` under
+    ``out_dir`` if given.  With ``resume_from`` the loop continues a
+    saved state; previously written metric lines and pseudo-label
+    records past the checkpoint's iteration are discarded, and those
+    before it kept, so the finished files are byte-identical to an
+    uninterrupted run's.  ``stop_after`` halts at
     an iteration count below the configured total (state is still
     checkpointed), which models an interrupted run.
     """
@@ -756,7 +777,8 @@ def run_training(
     semi = config.semi
 
     metrics_path = pseudo_path = checkpoint_path = None
-    kept_lines: list[str] = []
+    lines: list[str] = []
+    pending_pseudo: list[str] = []
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -764,12 +786,31 @@ def run_training(
         checkpoint_path = out_dir / "checkpoint.bin"
         if dump_pseudo:
             pseudo_path = out_dir / "pseudo.jsonl"
+        # On resume, keep the lines of the iterations the checkpoint covers.
         if state.iteration > 0 and metrics_path.exists():
-            kept_lines = metrics_path.read_text().splitlines()[: state.iteration]
+            lines = metrics_path.read_text().splitlines()[: state.iteration]
+        if pseudo_path is not None:
+            kept = []
+            if state.iteration > 0 and pseudo_path.exists():
+                # Whole lines only: an append cut short leaves a torn tail.
+                kept = [
+                    line
+                    for line in pseudo_path.read_text().splitlines(keepends=True)
+                    if line.endswith("\n") and json.loads(line)["iter"] < state.iteration
+                ]
+            write_atomic(pseudo_path, "".join(kept).encode())
+
+    def write_outputs() -> None:
+        # Lines first: a checkpoint never runs ahead of its lines.  Pseudo
+        # records are appended, as they far outgrow the metrics lines.
+        write_atomic(metrics_path, "".join(line + "\n" for line in lines).encode())
+        if pseudo_path is not None:
+            with open(pseudo_path, "ab") as handle:
+                handle.write("".join(line + "\n" for line in pending_pseudo).encode())
+            pending_pseudo.clear()
+        save_checkpoint(checkpoint_path, state)
 
     all_metrics: list[dict] = []
-    lines: list[str] = list(kept_lines)
-    pseudo: list[dict] = []
     n_labeled = len(labeled.scenes)
     n_unlabeled = len(unlabeled.scenes) if unlabeled is not None else 0
     last_iter = semi.total_iters if stop_after is None else min(stop_after, semi.total_iters)
@@ -784,20 +825,17 @@ def run_training(
         record = trainer.train_step(state, labeled_idx, unlabeled_idx)
         all_metrics.append(record)
         lines.append(canonical_line(record))
-        if dump_pseudo:
-            pseudo += [pseudo_record(record["iter"], *view) for view in trainer.last_pairs]
+        if pseudo_path is not None:
+            pending_pseudo += [
+                canonical_line(pseudo_record(record["iter"], *view)) for view in trainer.last_pairs
+            ]
         if (
             checkpoint_path is not None
             and checkpoint_every > 0
             and state.iteration % checkpoint_every == 0
             and state.iteration < semi.total_iters
         ):
-            # Metrics first: a checkpoint never runs ahead of its lines.
-            write_atomic(metrics_path, "".join(line + "\n" for line in lines).encode())
-            save_checkpoint(checkpoint_path, state)
+            write_outputs()
     if metrics_path is not None:
-        write_atomic(metrics_path, "".join(line + "\n" for line in lines).encode())
-        save_checkpoint(checkpoint_path, state)
-        if pseudo_path is not None:
-            write_records(pseudo_path, pseudo)
+        write_outputs()
     return state, all_metrics

@@ -2,7 +2,9 @@
 
 Each oracle deliberately avoids the code path it checks: IoU is estimated
 by Monte Carlo rasterisation, transport plans come from scipy's LP solver,
-gradients from central finite differences.
+gradients from central finite differences.  The slow forms that fast
+paths replaced (Sinkhorn with a plan per iteration, the broadcast cost
+matrix) are kept here, and the fast paths must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.special import logsumexp
 
 from orientsemi.geometry import RotatedBox
 
@@ -214,3 +217,86 @@ def random_box_pair(rng: np.random.Generator) -> tuple[RotatedBox, RotatedBox]:
         RotatedBox(0.0, 0.0, w1, h1, a1),
         RotatedBox(cx2, cy2, w2, h2, a2),
     )
+
+
+def plan_per_iteration_sinkhorn(
+    cost: np.ndarray,
+    source: np.ndarray,
+    target: np.ndarray,
+    epsilon: float,
+    max_iters: int,
+    tolerance: float,
+    log_domain: bool,
+) -> dict:
+    """Sinkhorn that builds the plan and takes its marginal error on every
+    iteration, in the scaling or the log domain.  Returns the fields of a
+    ``TransportSolution`` as a dict."""
+
+    def marginal_error(plan):
+        row_err = np.abs(plan.sum(axis=1) - source).max()
+        col_err = np.abs(plan.sum(axis=0) - target).max()
+        return float(max(row_err, col_err))
+
+    err = math.inf
+    iterations = 0
+    converged = False
+    if log_domain:
+        log_source = np.log(source)
+        log_target = np.log(target)
+        neg_cost = -cost / epsilon
+        f = np.zeros_like(source)
+        g = np.zeros_like(target)
+        for iterations in range(1, max_iters + 1):
+            f = epsilon * (log_source - logsumexp(neg_cost + g[None, :] / epsilon, axis=1))
+            g = epsilon * (log_target - logsumexp(neg_cost + f[:, None] / epsilon, axis=0))
+            plan = np.exp(neg_cost + f[:, None] / epsilon + g[None, :] / epsilon)
+            err = marginal_error(plan)
+            if err < tolerance:
+                converged = True
+                break
+        plan = np.exp(neg_cost + f[:, None] / epsilon + g[None, :] / epsilon)
+    else:
+        kernel = np.exp(-cost / epsilon)
+        u = np.ones_like(source)
+        v = np.ones_like(target)
+        for iterations in range(1, max_iters + 1):
+            u = source / (kernel @ v)
+            v = target / (kernel.T @ u)
+            plan = u[:, None] * kernel * v[None, :]
+            err = marginal_error(plan)
+            if err < tolerance:
+                converged = True
+                break
+        plan = u[:, None] * kernel * v[None, :]
+        f = epsilon * np.log(u)
+        g = epsilon * np.log(v)
+    shift = float(f.mean())
+    return {
+        "plan": plan,
+        "dual_source": f - shift,
+        "dual_target": g + shift,
+        "cost_value": float(np.sum(cost * plan)),
+        "iterations": iterations,
+        "converged": converged,
+        "marginal_error": err,
+    }
+
+
+def broadcast_cost_matrix(
+    source_positions: np.ndarray,
+    source_scores: np.ndarray,
+    target_positions: np.ndarray,
+    target_scores: np.ndarray,
+) -> np.ndarray:
+    """The cost matrix built from an (n, m, 2) difference array."""
+    delta = source_positions[:, None, :] - target_positions[None, :, :]
+    distance = np.sqrt(np.sum(delta * delta, axis=2))
+    score_gap = np.abs(source_scores[:, None] - target_scores[None, :])
+    cost = np.zeros_like(distance)
+    d_max = distance.max() if distance.size else 0.0
+    if d_max > 0.0:
+        cost += distance / d_max
+    s_max = score_gap.max() if score_gap.size else 0.0
+    if s_max > 0.0:
+        cost += score_gap / s_max
+    return cost

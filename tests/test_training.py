@@ -468,6 +468,16 @@ class TestConsistencyLoss:
         d_cols[cidx, rows] = d_z
         np.testing.assert_allclose(grad, d_cols @ features[:, cols].T, rtol=1e-12, atol=1e-15)
 
+    def test_unconverged_solve_raises(self):
+        # One Sinkhorn iteration cannot meet the tolerance on a scene with
+        # several pairs; the run must stop rather than apply that gradient.
+        config = tiny_run_config(ot_max_iters=1)
+        config.tab1.global_threshold = 2
+        labeled, unlabeled = make_datasets(config)
+        message = r"n=\d+ pairs did not converge: 1 iterations, marginal error"
+        with pytest.raises(RuntimeError, match=message):
+            run_training(config, labeled, unlabeled)
+
 
 class TestSchedule:
     def test_learning_rate_steps(self):
@@ -547,6 +557,22 @@ class TestTrainingRuns:
         np.testing.assert_array_equal(state_a.student.weights, state_b.student.weights)
         assert metrics_a == metrics_b
 
+    def test_nonfinite_gradient_raises_before_update(self):
+        config = tiny_run_config(flip_probability=0.0)
+        labeled, unlabeled = make_datasets(config)
+        trainer = Trainer(config, labeled, unlabeled)
+        state = init_state(config)
+        _, features = trainer.features_for("lab", 0, False)
+        features[0, 0] = np.nan  # poisons the cached feature matrix in place
+        weights = state.student.weights.copy()
+        momentum = state.momentum_buffer.copy()
+        message = r"iteration 0: gradient norm is nan \(loss_s=nan, loss_gaw=0\.0, loss_ngc=0\.0\)"
+        with pytest.raises(FloatingPointError, match=message):
+            trainer.train_step(state, [0], [])
+        np.testing.assert_array_equal(state.student.weights, weights)
+        np.testing.assert_array_equal(state.momentum_buffer, momentum)
+        assert state.iteration == 0
+
 
 class TestCheckpointing:
     def test_round_trip(self, tmp_path):
@@ -589,6 +615,65 @@ class TestCheckpointing:
         assert (split_dir / "metrics.jsonl").read_bytes() == (
             full_dir / "metrics.jsonl"
         ).read_bytes()
+
+    def test_resume_keeps_earlier_pseudo_records(self, tmp_path):
+        config = tiny_run_config()
+        labeled, unlabeled = make_datasets(config)
+        full_dir = tmp_path / "full"
+        run_training(config, labeled, unlabeled, out_dir=full_dir, dump_pseudo=True)
+        lines = (full_dir / "pseudo.jsonl").read_text().splitlines()
+        iters = [json.loads(line)["iter"] for line in lines]
+        assert min(iters) < 12 <= max(iters)
+
+        split_dir = tmp_path / "split"
+        run_training(config, labeled, unlabeled, out_dir=split_dir, dump_pseudo=True, stop_after=12)
+        run_training(
+            config,
+            labeled,
+            unlabeled,
+            out_dir=split_dir,
+            dump_pseudo=True,
+            resume_from=split_dir / "checkpoint.bin",
+        )
+        assert (split_dir / "pseudo.jsonl").read_bytes() == (full_dir / "pseudo.jsonl").read_bytes()
+
+    def test_resume_after_crash_keeps_pseudo_records(self, tmp_path, monkeypatch):
+        # A run killed between periodic checkpoints never reaches its final
+        # write; the checkpoint's pseudo records must already be on disk.
+        config = tiny_run_config()
+        labeled, unlabeled = make_datasets(config)
+        full_dir = tmp_path / "full"
+        run_training(config, labeled, unlabeled, out_dir=full_dir, dump_pseudo=True)
+
+        class Crash(Exception):
+            pass
+
+        step = Trainer.train_step
+
+        def crashing_step(self, state, *args):
+            if state.iteration == 13:
+                raise Crash
+            return step(self, state, *args)
+
+        split_dir = tmp_path / "split"
+        monkeypatch.setattr(Trainer, "train_step", crashing_step)
+        with pytest.raises(Crash):
+            run_training(
+                config, labeled, unlabeled, out_dir=split_dir, checkpoint_every=5, dump_pseudo=True
+            )
+        monkeypatch.setattr(Trainer, "train_step", step)
+        assert load_checkpoint(split_dir / "checkpoint.bin").iteration == 10
+        with open(split_dir / "pseudo.jsonl", "a") as handle:
+            handle.write('{"iter": 10, "cut sh')  # an append killed part-way
+        run_training(
+            config,
+            labeled,
+            unlabeled,
+            out_dir=split_dir,
+            dump_pseudo=True,
+            resume_from=split_dir / "checkpoint.bin",
+        )
+        assert (split_dir / "pseudo.jsonl").read_bytes() == (full_dir / "pseudo.jsonl").read_bytes()
 
     def test_write_failing_midway_keeps_last_checkpoint(self, tmp_path, monkeypatch):
         from orientsemi import records

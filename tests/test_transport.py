@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orientsemi.transport import (
+    LOG_DOMAIN_EPSILON,
     GcLoss,
     TransportProblem,
     TransportSolution,
@@ -14,7 +15,12 @@ from orientsemi.transport import (
     sinkhorn_solve,
 )
 
-from tests._oracles import fd_gradient, lp_transport
+from tests._oracles import (
+    broadcast_cost_matrix,
+    fd_gradient,
+    lp_transport,
+    plan_per_iteration_sinkhorn,
+)
 
 
 def random_problem(rng: np.random.Generator, n: int, m: int | None = None) -> TransportProblem:
@@ -127,6 +133,110 @@ class TestSinkhorn:
         sol = sinkhorn_solve(problem, epsilon=0.01, max_iters=2, tolerance=1e-12)
         assert not sol.converged
         assert sol.iterations == 2
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestMatchesPlanPerIterationOracle:
+    """The fast loops stop on the oracle's iteration with its exact bytes."""
+
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**31 - 1),
+        epsilon=st.one_of(st.sampled_from([0.15, 0.03]), st.floats(0.005, 1.0)),
+        tolerance=st.sampled_from([1e-6, 1e-10]),
+        max_iters=st.one_of(st.integers(1, 12), st.just(2000)),
+    )
+    # Both domains, each both converging and stopped at max_iters.
+    @example(n=30, m=25, seed=1, epsilon=0.15, tolerance=1e-10, max_iters=2000)
+    @example(n=30, m=25, seed=1, epsilon=0.15, tolerance=1e-6, max_iters=4)
+    @example(n=30, m=25, seed=2, epsilon=0.03, tolerance=1e-10, max_iters=2000)
+    @example(n=30, m=25, seed=2, epsilon=0.03, tolerance=1e-6, max_iters=4)
+    @settings(max_examples=60, deadline=None)
+    def test_sinkhorn_solve(self, n, m, seed, epsilon, tolerance, max_iters):
+        rng = np.random.default_rng(seed)
+        source_scores, target_scores = rng.random(n), rng.random(m)
+        cost = build_cost_matrix(
+            rng.integers(0, 24, (n, 2)), source_scores, rng.integers(0, 24, (m, 2)), target_scores
+        )
+        source, target = np.exp(source_scores), np.exp(target_scores)
+        problem = TransportProblem(cost, source / source.sum(), target / target.sum())
+        fast = sinkhorn_solve(problem, epsilon=epsilon, max_iters=max_iters, tolerance=tolerance)
+        slow = plan_per_iteration_sinkhorn(
+            problem.cost,
+            problem.source,
+            problem.target,
+            epsilon,
+            max_iters,
+            tolerance,
+            log_domain=epsilon <= LOG_DOMAIN_EPSILON,
+        )
+        assert fast.iterations == slow["iterations"]
+        assert fast.converged == slow["converged"]
+        for field in ("marginal_error", "plan", "dual_source", "dual_target", "cost_value"):
+            assert same_bits(getattr(fast, field), slow[field]), field
+
+    @given(
+        n=st.integers(0, 30),
+        m=st.integers(0, 30),
+        seed=st.integers(0, 2**31 - 1),
+        coincident=st.booleans(),
+        equal_scores=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_build_cost_matrix(self, n, m, seed, coincident, equal_scores):
+        rng = np.random.default_rng(seed)
+        if coincident:
+            source_pos = np.full((n, 2), 7.5)
+            target_pos = np.full((m, 2), 7.5)
+        else:
+            source_pos = rng.random((n, 2)) * 96.0
+            target_pos = rng.random((m, 2)) * 96.0
+        if equal_scores:
+            source_scores, target_scores = np.full(n, 0.4), np.full(m, 0.4)
+        else:
+            source_scores, target_scores = rng.random(n), rng.random(m)
+        fast = build_cost_matrix(source_pos, source_scores, target_pos, target_scores)
+        slow = broadcast_cost_matrix(source_pos, source_scores, target_pos, target_scores)
+        assert fast.shape == slow.shape == (n, m)
+        assert same_bits(fast, slow)
+
+
+def traced_size_problem() -> tuple[tuple, TransportProblem]:
+    """Cost-matrix inputs and transport problem at the traced median
+    atom count (270) of the ``semi-full`` benchmark workload: cells
+    clustered around six objects on a 96x96 grid, confident teacher
+    scores, an undecided student.  The solve takes 27 iterations at
+    eps=0.15 (the workload's median is 41)."""
+    rng = np.random.default_rng(270)
+    centers = rng.uniform(10.0, 86.0, (6, 2))
+    positions = np.floor(centers[rng.integers(0, 6, 270)] + rng.normal(0.0, 4.0, (270, 2))) + 0.5
+    teacher_scores = rng.uniform(0.3, 1.0, 270)
+    student_scores = 0.5 + rng.normal(0.0, 0.02, 270)
+    inputs = (positions, teacher_scores, positions, student_scores)
+    teacher, student = np.exp(teacher_scores), np.exp(student_scores)
+    cost = build_cost_matrix(*inputs)
+    problem = TransportProblem(cost, teacher / teacher.sum(), student / student.sum())
+    return inputs, problem
+
+
+class TestKernelBenchmarks:
+    """Timings of the transport kernels; short, so tier-1 barely grows."""
+
+    def test_sinkhorn_solve_n270(self, benchmark):
+        _, problem = traced_size_problem()
+        sol = benchmark.pedantic(
+            sinkhorn_solve, args=(problem,), kwargs={"epsilon": 0.15}, rounds=30, warmup_rounds=1
+        )
+        assert sol.converged
+
+    def test_build_cost_matrix_n270(self, benchmark):
+        inputs, _ = traced_size_problem()
+        cost = benchmark.pedantic(build_cost_matrix, args=inputs, rounds=100, warmup_rounds=1)
+        assert cost.shape == (270, 270)
 
 
 class TestCostMatrix:
