@@ -3,10 +3,12 @@
 A run is described by four sections: ``[scene]`` (generator), ``[detector]``
 (feature/head model), ``[semi]`` (optimisation and the teacher-student
 machinery), and ``[tab1]`` (the five headline method hyper-parameters).
-``load_ini`` reads a file into the dataclasses; ``apply_overrides``
-implements ``section.key=value`` command-line overrides; both coerce
-values using the dataclass field types, so a typo'd key or value fails
-loudly instead of silently training the wrong thing.
+Each settable value lives in exactly one section field, with one default.
+``load_ini``, ``apply_overrides`` and ``RunConfig.from_dict`` share one
+update path: it coerces values using the field types, rebuilds each
+touched section once, and ends with :meth:`RunConfig.check`, so a typo'd
+key or an out-of-range value fails before training starts instead of
+silently training the wrong thing or failing deep inside the loop.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, get_type_hints
 
 from orientsemi.consistency import NgcConfig
 from orientsemi.detector import DetectorConfig
@@ -61,7 +63,6 @@ class SemiConfig:
     ot_epsilon: float = 0.1
     ot_max_iters: int = 10000
     ot_tolerance: float = 1e-6
-    plan_weighting: str = "none"
     score_floor: float = 0.05
     nms_iou: float = 0.1
     pre_nms_top: int = 2000
@@ -83,6 +84,8 @@ class SemiConfig:
             raise ValueError("burn_in_frac must be in [0, 1)")
         if self.sampler not in ("sids", "topk"):
             raise ValueError(f"sampler must be 'sids' or 'topk', got {self.sampler!r}")
+        if self.topk < 0:
+            raise ValueError(f"topk must be >= 0, got {self.topk}")
         if self.labeled_batch < 1 or self.unlabeled_batch < 1:
             raise ValueError("batch sizes must be >= 1")
 
@@ -115,16 +118,26 @@ class RunConfig:
             tolerance=self.semi.ot_tolerance,
             beta=self.tab1.beta,
             global_threshold=self.tab1.global_threshold,
-            plan_weighting=self.semi.plan_weighting,
         )
 
     def augment_config(self) -> AugmentConfig:
         return AugmentConfig(
-            flip_probability=self.semi.flip_probability,
             add_sigma=self.semi.add_sigma,
             mul_sigma=self.semi.mul_sigma,
             blur_sigma=self.semi.blur_sigma,
         )
+
+    def check(self) -> None:
+        """Raise ``ValueError`` if a setting is out of range.
+
+        Sections check themselves on construction; building the three
+        mechanism configs runs the checks on the settings they take from
+        ``[semi]`` and ``[tab1]``, which otherwise would fire only at the
+        first unlabeled step.
+        """
+        self.sampler_config()
+        self.ngc_config()
+        self.augment_config()
 
     def to_dict(self) -> dict:
         return {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}
@@ -132,7 +145,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Inverse of :meth:`to_dict`."""
-        return cls(**{name: section_cls(**data[name]) for name, section_cls in _SECTIONS.items()})
+        return _update(cls(), ((name, key, value) for name, section in data.items() for key, value in section.items()))
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -162,64 +175,54 @@ def _coerce(raw: str, target_type: type):
     return raw
 
 
-def _field_types(cls: type) -> dict[str, type]:
-    return {f.name: f.type if isinstance(f.type, type) else _resolve(f.type) for f in dataclasses.fields(cls)}
+def _update(config: RunConfig, items: Iterable[tuple[str, str, object]]) -> RunConfig:
+    """Set ``(section, key, value)`` items on ``config``, then check it.
 
-
-def _resolve(annotation: str) -> type:
-    return {"int": int, "float": float, "bool": bool, "str": str}.get(annotation, str)
+    String values are parsed by the field's type.  Each touched section is
+    rebuilt once, so its own checks see the final values; later items win
+    over earlier ones for the same key.
+    """
+    changes: dict[str, dict] = {}
+    for section_name, key, value in items:
+        if section_name not in _SECTIONS:
+            raise KeyError(f"unknown config section {section_name!r}")
+        types = get_type_hints(_SECTIONS[section_name])
+        if key not in types:
+            raise KeyError(f"unknown key [{section_name}] {key}")
+        changes.setdefault(section_name, {})[key] = _coerce(value, types[key]) if isinstance(value, str) else value
+    for section_name, values in changes.items():
+        setattr(config, section_name, dataclasses.replace(getattr(config, section_name), **values))
+    config.check()
+    return config
 
 
 def load_ini(path: Path) -> RunConfig:
     """Read a config file; keys absent in the file keep their defaults."""
     parser = ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    config = RunConfig()
-    for section_name, section_cls in _SECTIONS.items():
-        if not parser.has_section(section_name):
-            continue
-        types = _field_types(section_cls)
-        current = getattr(config, section_name)
-        values = {f.name: getattr(current, f.name) for f in dataclasses.fields(section_cls)}
-        for key, raw in parser.items(section_name):
-            if key not in types:
-                raise KeyError(f"unknown key [{section_name}] {key}")
-            values[key] = _coerce(raw, types[key])
-        setattr(config, section_name, section_cls(**values))
-    extra = set(parser.sections()) - set(_SECTIONS)
-    if extra:
-        raise KeyError(f"unknown config sections: {sorted(extra)}")
-    return config
+    return _update(RunConfig(), ((name, key, raw) for name in parser.sections() for key, raw in parser.items(name)))
+
+
+def _split_override(item: str) -> tuple[str, str, str]:
+    if "=" not in item:
+        raise ValueError(f"override {item!r} is not of the form section.key=value")
+    key_path, raw = item.split("=", 1)
+    if "." not in key_path:
+        raise ValueError(f"override key {key_path!r} is not of the form section.key")
+    section_name, key = key_path.split(".", 1)
+    return section_name, key, raw
 
 
 def apply_overrides(config: RunConfig, overrides: list[str]) -> RunConfig:
     """Apply ``section.key=value`` strings in order; returns the config."""
-    for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not of the form section.key=value")
-        key_path, raw = item.split("=", 1)
-        if "." not in key_path:
-            raise ValueError(f"override key {key_path!r} is not of the form section.key")
-        section_name, key = key_path.split(".", 1)
-        if section_name not in _SECTIONS:
-            raise KeyError(f"unknown config section {section_name!r}")
-        section_cls = _SECTIONS[section_name]
-        types = _field_types(section_cls)
-        if key not in types:
-            raise KeyError(f"unknown key [{section_name}] {key}")
-        current = getattr(config, section_name)
-        values = {f.name: getattr(current, f.name) for f in dataclasses.fields(section_cls)}
-        values[key] = _coerce(raw, types[key])
-        setattr(config, section_name, section_cls(**values))
-    return config
+    return _update(config, map(_split_override, overrides))
 
 
 def save_ini(config: RunConfig, path: Path) -> None:
     """Write every section and key; the output round-trips via load_ini."""
     parser = ConfigParser()
-    for section_name, _ in _SECTIONS.items():
+    for section_name in _SECTIONS:
         parser.add_section(section_name)
         section = getattr(config, section_name)
         for f in dataclasses.fields(section):

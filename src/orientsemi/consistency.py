@@ -112,21 +112,22 @@ def perturb(dist: GlobalDistribution, beta: float, rng: np.random.Generator) -> 
 @dataclass
 class NgcConfig:
     epsilon: float = 0.1
-    max_iters: int = 1000
+    max_iters: int = 10000
     tolerance: float = 1e-6
     beta: float = 0.3
     global_threshold: int = 150
-    plan_weighting: str = "none"
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.tolerance <= 0.0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.global_threshold < 0:
             raise ValueError(f"global_threshold must be >= 0, got {self.global_threshold}")
-        if self.plan_weighting not in ("none", "student_mass"):
-            raise ValueError(f"unknown plan_weighting {self.plan_weighting!r}")
 
 
 @dataclass
@@ -143,25 +144,10 @@ class NgcResult:
     diagnostics: dict
 
 
-def plan_divergence(
-    plan: np.ndarray,
-    noisy_plan: np.ndarray,
-    student_hat: np.ndarray,
-    weighting: str = "none",
-) -> float:
-    """Mean squared difference between two transport plans.
-
-    With ``student_mass`` weighting, each column's squared difference is
-    scaled by the student's normalised mass times the column count, so a
-    uniform student reduces to the unweighted mean.
-    """
+def plan_divergence(plan: np.ndarray, noisy_plan: np.ndarray) -> float:
+    """Mean squared difference between two transport plans."""
     diff = plan - noisy_plan
-    sq = diff * diff
-    if weighting == "student_mass":
-        sq = sq * (student_hat[None, :] * student_hat.shape[0])
-    elif weighting != "none":
-        raise ValueError(f"unknown plan weighting {weighting!r}")
-    return float(sq.mean())
+    return float((diff * diff).mean())
 
 
 def ngc_loss(
@@ -225,8 +211,7 @@ def ngc_loss(
         # the clamp is inactive, zero where it pinned the mass.
         unclamped = student_noisy.values > CLAMP_FLOOR
         grad_noisy = np.where(unclamped, noisy.grad_student, 0.0)
-        student_hat = student.values / student.values.sum()
-        loss_plan = plan_divergence(clean.plan, noisy.plan, student_hat, config.plan_weighting)
+        loss_plan = plan_divergence(clean.plan, noisy.plan)
 
     loss = clean.loss + noisy.loss + loss_plan
     grad = clean.grad_student + grad_noisy

@@ -47,7 +47,9 @@ DIRECTION_EPS = 1e-6
 
 @dataclass
 class DetectorConfig:
-    num_classes: int = 3
+    """Box decoding bounds and initialisation; the class count comes from
+    the scene config, which also fixes the channel count."""
+
     min_side: float = 0.5
     max_side: float = 64.0
     cls_bias_init: float = -4.0
@@ -55,14 +57,8 @@ class DetectorConfig:
     init_scale: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.num_classes < 1:
-            raise ValueError("need at least one class")
         if not 0.0 < self.min_side < self.max_side:
             raise ValueError("need 0 < min_side < max_side")
-
-    @property
-    def num_heads(self) -> int:
-        return self.num_classes + NUM_EXTRA_HEADS
 
     def num_features(self, num_channels: int) -> int:
         return 3 * num_channels + 4
@@ -113,10 +109,10 @@ class ToyDetectorParams:
 
     @classmethod
     def initialize(
-        cls, num_channels: int, rng: np.random.Generator, config: DetectorConfig
+        cls, num_channels: int, num_classes: int, rng: np.random.Generator, config: DetectorConfig
     ) -> "ToyDetectorParams":
-        k = config.num_classes
-        shape = (config.num_heads, config.num_features(num_channels))
+        k = num_classes
+        shape = (k + NUM_EXTRA_HEADS, config.num_features(num_channels))
         weights = config.init_scale * rng.standard_normal(shape)
         # Bias feature is the last column: start classes rare and boxes
         # at a plausible prior size.
@@ -172,6 +168,24 @@ def decode_dense(
         boxes=boxes,
         centerness=centerness,
         predicted_iou=predicted_iou,
+    )
+
+
+def encode_boxes(boxes: np.ndarray, iy: np.ndarray, ix: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Regression targets for (cx, cy, w, h, angle) rows at grid cells
+    ``(iy, ix)``: the encoding that :func:`decode_dense` inverts, up to
+    its side clipping and direction normalisation.
+
+    Returns ``(dx, dy, log w, log h, cos 2a, sin 2a)``; the offsets are
+    from the cell center.
+    """
+    return (
+        boxes[:, 0] - (ix + 0.5),
+        boxes[:, 1] - (iy + 0.5),
+        np.log(boxes[:, 2]),
+        np.log(boxes[:, 3]),
+        np.cos(2.0 * boxes[:, 4]),
+        np.sin(2.0 * boxes[:, 4]),
     )
 
 

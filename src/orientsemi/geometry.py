@@ -78,18 +78,7 @@ class RotatedBox:
 
     def corners(self) -> np.ndarray:
         """Corner coordinates, shape (4, 2), in counter-clockwise order."""
-        c = math.cos(self.angle)
-        s = math.sin(self.angle)
-        hw = 0.5 * self.w
-        hh = 0.5 * self.h
-        return np.array(
-            [
-                [self.cx - hw * c + hh * s, self.cy - hw * s - hh * c],
-                [self.cx + hw * c + hh * s, self.cy + hw * s - hh * c],
-                [self.cx + hw * c - hh * s, self.cy + hw * s + hh * c],
-                [self.cx - hw * c - hh * s, self.cy - hw * s + hh * c],
-            ]
-        )
+        return np.array(_corner_list(self))
 
     def aabb(self) -> tuple[float, float, float, float]:
         """Axis-aligned bounds ``(xmin, ymin, xmax, ymax)``."""

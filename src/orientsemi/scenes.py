@@ -72,9 +72,6 @@ class SceneConfig:
     def num_channels(self) -> int:
         return self.num_classes + 3
 
-    def channel_names(self) -> list[str]:
-        return [f"class{k}" for k in range(self.num_classes)] + ["lum", "cos2a", "sin2a"]
-
 
 @dataclass
 class SyntheticScene:
@@ -277,14 +274,13 @@ def flip_scene(scene: SyntheticScene, channels: np.ndarray) -> tuple[SyntheticSc
 
 @dataclass
 class AugmentConfig:
-    """Stochastic view parameters.
+    """Strong-view pixel parameters.
 
     Weak views only flip (:func:`flip_scene`).  Strong views share the
     weak view's flip and add pixel jitter plus a blur; with all three
-    amplitudes at 0 a strong view equals the flipped scene bit-for-bit.
+    amplitudes at 0 a strong view equals the weak view bit-for-bit.
     """
 
-    flip_probability: float = 0.5
     add_sigma: float = 0.05
     mul_sigma: float = 0.1
     blur_sigma: float = 0.6
@@ -295,16 +291,14 @@ def strong_augment(
     channels: np.ndarray,
     rng: np.random.Generator,
     config: AugmentConfig,
-    flip: Optional[bool] = None,
+    flip: bool,
 ) -> tuple[SyntheticScene, np.ndarray, bool]:
     """Flip + pixel jitter + blur.
 
-    Pass ``flip`` to pin the geometric part to a weak view of the same
-    scene; the teacher's sampled positions then line up with the
-    student's grid with no coordinate remapping.
+    ``flip`` is the weak view's flip of the same scene, so the teacher's
+    sampled positions line up with the student's grid with no coordinate
+    remapping.
     """
-    if flip is None:
-        flip = bool(rng.random() < config.flip_probability)
     if flip:
         scene, channels = flip_scene(scene, channels)
     out = channels.astype(np.float32, copy=True)

@@ -43,13 +43,14 @@ from orientsemi.detector import (
     ToyDetectorParams,
     decode_angle,
     decode_dense,
+    encode_boxes,
     extract_features,
     forward,
 )
 from orientsemi.geometry import RotatedBox, grid_cells_in_box
 from orientsemi.records import canonical_line, write_atomic
 from orientsemi.sampling import PROVENANCE_EASY, DensePrediction, PseudoLabelSet, build_pairs, topk_pairs
-from orientsemi.scenes import SyntheticScene, flip_scene, strong_augment
+from orientsemi.scenes import SceneConfig, SyntheticScene, flip_scene, strong_augment
 from orientsemi.weighting import pair_weights
 
 CHECKPOINT_MAGIC = b"ORIENTSEMI-CKPT v1\n"
@@ -109,16 +110,14 @@ def localization_quality_map(scene: SyntheticScene, height: int, width: int) -> 
 
 @dataclass
 class SupervisedTargets:
-    """Parameter-free training targets for one (scene, flip) view."""
+    """Parameter-free training targets for one (scene, flip) view.
+
+    ``encoded`` is the owner box's :func:`~orientsemi.detector.encode_boxes`
+    target at each positive cell."""
 
     pos_flat: np.ndarray
     pos_class: np.ndarray
-    t_dx: np.ndarray
-    t_dy: np.ndarray
-    t_logw: np.ndarray
-    t_logh: np.ndarray
-    t_cos: np.ndarray
-    t_sin: np.ndarray
+    encoded: tuple[np.ndarray, ...]
     t_ctr: np.ndarray
     quality: np.ndarray
 
@@ -128,18 +127,16 @@ def build_supervised_targets(scene: SyntheticScene, height: int, width: int) -> 
     box containing its center (larger boxes painted first, so overwrites
     leave the smallest owner)."""
     owner = np.full(height * width, -1, dtype=np.int64)
-    areas = scene.boxes[:, 2] * scene.boxes[:, 3] if len(scene) else np.empty(0)
+    areas = scene.boxes[:, 2] * scene.boxes[:, 3]
     for gi in np.argsort(-areas):
         box = RotatedBox(*scene.boxes[gi])
         iy, ix = grid_cells_in_box(box, height, width)
         owner[iy * width + ix] = gi
     pos_flat = np.nonzero(owner >= 0)[0]
     gt = owner[pos_flat]
-    boxes = scene.boxes[gt] if pos_flat.size else np.empty((0, 5))
-    px = pos_flat % width + 0.5
-    py = pos_flat // width + 0.5
-    dx = boxes[:, 0] - px
-    dy = boxes[:, 1] - py
+    boxes = scene.boxes[gt]
+    encoded = encode_boxes(boxes, pos_flat // width, pos_flat % width)
+    dx, dy = encoded[:2]
     c = np.cos(boxes[:, 4])
     s = np.sin(boxes[:, 4])
     # Cell center in the box frame; distances to the four edges give the
@@ -153,13 +150,8 @@ def build_supervised_targets(scene: SyntheticScene, height: int, width: int) -> 
     t_ctr = np.sqrt(np.clip(ratio_x * ratio_y, 0.0, 1.0))
     return SupervisedTargets(
         pos_flat=pos_flat,
-        pos_class=scene.classes[gt] if pos_flat.size else np.empty(0, dtype=np.int64),
-        t_dx=dx,
-        t_dy=dy,
-        t_logw=np.log(boxes[:, 2]) if pos_flat.size else np.empty(0),
-        t_logh=np.log(boxes[:, 3]) if pos_flat.size else np.empty(0),
-        t_cos=np.cos(2.0 * boxes[:, 4]) if pos_flat.size else np.empty(0),
-        t_sin=np.sin(2.0 * boxes[:, 4]) if pos_flat.size else np.empty(0),
+        pos_class=scene.classes[gt],
+        encoded=encoded,
         t_ctr=t_ctr,
         quality=localization_quality_map(scene, height, width),
     )
@@ -183,12 +175,11 @@ def head_errors(
     raw: np.ndarray,
     k: int,
     cols: np.ndarray,
-    box_targets: Sequence[np.ndarray],
-    t_cos: np.ndarray,
-    t_sin: np.ndarray,
+    encoded: Sequence[np.ndarray],
 ) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Head outputs against box targets at the grid columns ``cols``, the
-    forward part shared by the supervised and the pair loss.
+    forward part shared by the supervised and the pair loss.  ``encoded``
+    is the six-array target of :func:`~orientsemi.detector.encode_boxes`.
 
     Returns ``(errs, c_raw, s_raw, err_cos, err_sin, z_ctr)``: ``errs``
     maps each offset/size head (dx, dy, log w, log h, in that order) to
@@ -196,6 +187,7 @@ def head_errors(
     (c, s) pair; ``z_ctr`` are the centerness logits.  Each caller keeps
     its own reduction and gradient scaling.
     """
+    *box_targets, t_cos, t_sin = encoded
     errs = {
         offset: raw[k + offset, cols] - target
         for offset, target in zip((OFF_DX, OFF_DY, OFF_LOGW, OFF_LOGH), box_targets)
@@ -239,9 +231,7 @@ def supervised_loss(
     loss_reg = 0.0
     loss_ctr = 0.0
     if pos.size:
-        errs, c_raw, s_raw, err_cos, err_sin, z_ctr = head_errors(
-            raw, k, pos, (targets.t_dx, targets.t_dy, targets.t_logw, targets.t_logh), targets.t_cos, targets.t_sin
-        )
+        errs, c_raw, s_raw, err_cos, err_sin, z_ctr = head_errors(raw, k, pos, targets.encoded)
         for offset, err in errs.items():
             d_raw[k + offset, pos] = smooth_l1_grad(err) / n_pos
         dc, ds = _direction_grads(c_raw, s_raw, smooth_l1_grad(err_cos), smooth_l1_grad(err_sin))
@@ -314,22 +304,13 @@ def weighted_pair_loss(
     k = params.num_classes
     cols = pairs.iy * width + pairs.ix
     t_boxes = pairs.teacher.boxes
-    px = pairs.ix + 0.5
-    py = pairs.iy + 0.5
 
     z_cls = raw[:k][:, cols]
     t_cls = pairs.teacher.score_rows.T
     p_cls = expit(z_cls)
     cls_pair = binary_cross_entropy(z_cls, t_cls).sum(axis=0)
 
-    errs, c_raw, s_raw, err_cos, err_sin, z_ctr = head_errors(
-        raw,
-        k,
-        cols,
-        (t_boxes[:, 0] - px, t_boxes[:, 1] - py, np.log(t_boxes[:, 2]), np.log(t_boxes[:, 3])),
-        np.cos(2.0 * t_boxes[:, 4]),
-        np.sin(2.0 * t_boxes[:, 4]),
-    )
+    errs, c_raw, s_raw, err_cos, err_sin, z_ctr = head_errors(raw, k, cols, encode_boxes(t_boxes, pairs.iy, pairs.ix))
     reg_pair = (
         sum(smooth_l1(e) for e in errs.values()) + smooth_l1(err_cos) + smooth_l1(err_sin)
     )
@@ -467,7 +448,7 @@ class TrainState:
 
 def init_state(config: RunConfig) -> TrainState:
     rng = np.random.default_rng(config.semi.seed)
-    student = ToyDetectorParams.initialize(config.scene.num_channels, rng, config.detector)
+    student = ToyDetectorParams.initialize(config.scene.num_channels, config.scene.num_classes, rng, config.detector)
     return TrainState(
         student=student,
         teacher=None,
@@ -745,6 +726,24 @@ def load_checkpoint(path: Path) -> TrainState:
     )
 
 
+def check_split(name: str, dataset, config: SceneConfig) -> None:
+    """Raise ``ValueError`` if a scene of ``dataset`` does not fit the run:
+    its canvas differs from ``config`` or a class index is out of range."""
+    for scene in dataset.scenes:
+        for side in ("height", "width"):
+            if getattr(scene, side) != getattr(config, side):
+                raise ValueError(
+                    f"{name} split: scene {scene.scene_id} has {side} {getattr(scene, side)}, "
+                    f"but scene.{side} is {getattr(config, side)}"
+                )
+        bad = scene.classes[(scene.classes < 0) | (scene.classes >= config.num_classes)]
+        if bad.size:
+            raise ValueError(
+                f"{name} split: scene {scene.scene_id} has class index {bad[0]}, "
+                f"but scene.num_classes is {config.num_classes}"
+            )
+
+
 def run_training(
     config: RunConfig,
     labeled,
@@ -766,7 +765,15 @@ def run_training(
     uninterrupted run's.  ``stop_after`` halts at
     an iteration count below the configured total (state is still
     checkpointed), which models an interrupted run.
+
+    Raises ``ValueError`` before the first iteration if a setting is out
+    of range (:meth:`RunConfig.check`) or a split does not fit the run
+    (:func:`check_split`).
     """
+    config.check()
+    check_split("labeled", labeled, config.scene)
+    if unlabeled is not None:
+        check_split("unlabeled", unlabeled, config.scene)
     if resume_from is not None:
         state = load_checkpoint(resume_from)
         if state.config.to_dict() != config.to_dict():

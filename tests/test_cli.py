@@ -268,6 +268,25 @@ class TestErrorPath:
         assert code == 1
         assert errors[-1]["error"] == "KeyError"
 
+    def test_out_of_range_setting_fails_before_any_output(self, datasets, tmp_path, capsys):
+        out = tmp_path / "train"
+        code, lines, errors = run_cli(
+            [
+                "train",
+                "--labeled", str(datasets / "lab"),
+                "--unlabeled", str(datasets / "unlab"),
+                "--out", str(out),
+            ]
+            + TINY_TRAIN
+            + ["--set", "semi.score_floor=2.0"],
+            capsys,
+        )
+        assert code == 1
+        assert not lines
+        assert errors[-1]["error"] == "ValueError"
+        for name in ("config.ini", "metrics.jsonl", "checkpoint.bin"):
+            assert not (out / name).exists()
+
 
 class TestRecords:
     def test_write_read_round_trip(self, tmp_path):

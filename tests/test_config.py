@@ -1,5 +1,7 @@
 """Config dataclasses, INI round-trip, and dotted overrides."""
 
+from pathlib import Path
+
 import pytest
 
 from orientsemi.config import (
@@ -9,6 +11,25 @@ from orientsemi.config import (
     load_ini,
     save_ini,
 )
+from orientsemi.consistency import NgcConfig
+from orientsemi.sampling import SamplerConfig
+from orientsemi.scenes import AugmentConfig
+
+DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
+
+# Settings that, unchecked at load time, fail only at the first
+# unlabeled step.
+OUT_OF_RANGE = [
+    "semi.score_floor=2.0",
+    "tab1.sample_ratio=0",
+    "semi.pre_nms_top=0",
+    "semi.ot_epsilon=-1",
+    "tab1.beta=-0.5",
+    "tab1.global_threshold=-3",
+    "semi.ot_max_iters=0",
+    "semi.ot_tolerance=0",
+    "semi.topk=-1",
+]
 
 
 class TestSemiConfig:
@@ -97,3 +118,48 @@ class TestOverrides:
         assert a.digest() == b.digest()
         b.semi.lr = 0.5
         assert a.digest() != b.digest()
+
+
+class TestDefaults:
+    def test_default_ini_matches_built_in_defaults(self):
+        assert load_ini(DEFAULT_INI).to_dict() == RunConfig().to_dict()
+
+    def test_mechanism_configs_share_the_section_defaults(self):
+        config = RunConfig()
+        assert config.sampler_config() == SamplerConfig()
+        assert config.ngc_config() == NgcConfig()
+        assert config.augment_config() == AugmentConfig()
+
+
+class TestChecks:
+    @pytest.mark.parametrize("override", OUT_OF_RANGE)
+    def test_override_rejected(self, override):
+        with pytest.raises(ValueError):
+            apply_overrides(RunConfig(), [override])
+
+    @pytest.mark.parametrize("override", OUT_OF_RANGE)
+    def test_ini_value_rejected(self, override, tmp_path):
+        key_path, value = override.split("=")
+        section, key = key_path.split(".")
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ValueError):
+            load_ini(path)
+
+    def test_later_override_repairs_earlier(self):
+        config = apply_overrides(RunConfig(), ["semi.score_floor=2.0", "semi.score_floor=0.5"])
+        assert config.semi.score_floor == 0.5
+
+    def test_removed_keys_rejected(self):
+        data = RunConfig().to_dict()
+        data["detector"]["num_classes"] = 3
+        with pytest.raises(KeyError):
+            RunConfig.from_dict(data)
+        with pytest.raises(KeyError):
+            apply_overrides(RunConfig(), ["semi.plan_weighting=none"])
+
+    def test_from_dict_checks_values(self):
+        data = RunConfig().to_dict()
+        data["tab1"]["beta"] = -0.5
+        with pytest.raises(ValueError):
+            RunConfig.from_dict(data)

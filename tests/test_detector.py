@@ -49,17 +49,18 @@ class TestFeatures:
         np.testing.assert_allclose(feats[6:18], 0.7, atol=1e-6)
 
     def test_count_matches_config(self):
-        cfg = DetectorConfig(num_classes=3)
+        cfg = DetectorConfig()
         assert cfg.num_features(6) == 22
-        assert cfg.num_heads == 3 + NUM_EXTRA_HEADS
+        params = ToyDetectorParams.initialize(6, 3, np.random.default_rng(0), cfg)
+        assert params.weights.shape[0] == 3 + NUM_EXTRA_HEADS
         channels = np.zeros((6, 8, 8), dtype=np.float32)
         assert extract_features(channels).shape[0] == cfg.num_features(6)
 
 
 class TestParams:
     def test_initialize_biases(self):
-        cfg = DetectorConfig(num_classes=3)
-        params = ToyDetectorParams.initialize(6, np.random.default_rng(0), cfg)
+        cfg = DetectorConfig()
+        params = ToyDetectorParams.initialize(6, 3, np.random.default_rng(0), cfg)
         assert params.weights.shape == (11, 22)
         assert params.num_params == 242
         np.testing.assert_array_equal(params.weights[:3, -1], cfg.cls_bias_init)
@@ -71,8 +72,8 @@ class TestParams:
             ToyDetectorParams(weights=np.zeros((5, 22)), num_classes=3)
 
     def test_copy_is_independent(self):
-        cfg = DetectorConfig(num_classes=3)
-        params = ToyDetectorParams.initialize(6, np.random.default_rng(0), cfg)
+        cfg = DetectorConfig()
+        params = ToyDetectorParams.initialize(6, 3, np.random.default_rng(0), cfg)
         clone = params.copy()
         clone.weights[0, 0] += 1.0
         assert params.weights[0, 0] != clone.weights[0, 0]
@@ -92,15 +93,15 @@ class TestDecode:
         assert np.all(wrapped < math.pi / 2)
 
     def test_decode_dense_fields(self):
-        cfg = DetectorConfig(num_classes=3)
+        cfg = DetectorConfig()
         height, width = 10, 14
         n = height * width
-        raw = np.zeros((cfg.num_heads, n))
+        raw = np.zeros((3 + NUM_EXTRA_HEADS, n))
         raw[3 + OFF_DX] = 0.25
         raw[3 + OFF_LOGW] = math.log(4.0)
         raw[3 + OFF_LOGH] = math.log(2.0)
         raw[3 + OFF_COS] = 1.0
-        params = ToyDetectorParams(weights=np.zeros((cfg.num_heads, 22)), num_classes=3)
+        params = ToyDetectorParams(weights=np.zeros((3 + NUM_EXTRA_HEADS, 22)), num_classes=3)
         pred = decode_dense(params, raw, height, width, cfg)
         assert pred.grid_shape == (height, width)
         # Cell (iy=2, ix=5): center (5.5, 2.5) plus the 0.25 x-offset.
@@ -113,18 +114,18 @@ class TestDecode:
         np.testing.assert_allclose(pred.centerness, 0.5)
 
     def test_sides_clipped_to_range(self):
-        cfg = DetectorConfig(num_classes=3)
-        raw = np.zeros((cfg.num_heads, 4))
+        cfg = DetectorConfig()
+        raw = np.zeros((3 + NUM_EXTRA_HEADS, 4))
         raw[3 + OFF_LOGW] = 50.0
         raw[3 + OFF_LOGH] = -50.0
-        params = ToyDetectorParams(weights=np.zeros((cfg.num_heads, 22)), num_classes=3)
+        params = ToyDetectorParams(weights=np.zeros((3 + NUM_EXTRA_HEADS, 22)), num_classes=3)
         pred = decode_dense(params, raw, 2, 2, cfg)
         np.testing.assert_allclose(pred.boxes[..., 2], cfg.max_side, rtol=1e-12)
         np.testing.assert_allclose(pred.boxes[..., 3], cfg.min_side, rtol=1e-12)
 
     def test_forward_is_linear(self):
-        cfg = DetectorConfig(num_classes=3)
-        params = ToyDetectorParams.initialize(6, np.random.default_rng(1), cfg)
+        cfg = DetectorConfig()
+        params = ToyDetectorParams.initialize(6, 3, np.random.default_rng(1), cfg)
         feats = np.random.default_rng(2).normal(size=(22, 10)).astype(np.float32)
         out = forward(params, feats)
         np.testing.assert_allclose(
@@ -134,8 +135,8 @@ class TestDecode:
     def test_predict_dense_on_scene(self):
         scfg = SceneConfig(height=48, width=48, density=5e-4, noise_sigma=0.02)
         scene, channels = generate_scene(scfg, np.random.default_rng(5))
-        cfg = DetectorConfig(num_classes=scfg.num_classes)
-        params = ToyDetectorParams.initialize(scfg.num_channels, np.random.default_rng(0), cfg)
+        cfg = DetectorConfig()
+        params = ToyDetectorParams.initialize(scfg.num_channels, scfg.num_classes, np.random.default_rng(0), cfg)
         pred = predict_dense(params, channels, cfg)
         assert pred.grid_shape == (48, 48)
         # Fresh classifier biased to -4: everything close to background.
@@ -144,8 +145,8 @@ class TestDecode:
         assert np.all(pred.boxes[..., 3] <= cfg.max_side)
 
     def test_fresh_iou_head_near_half(self):
-        cfg = DetectorConfig(num_classes=3)
-        params = ToyDetectorParams.initialize(6, np.random.default_rng(7), cfg)
+        cfg = DetectorConfig()
+        params = ToyDetectorParams.initialize(6, 3, np.random.default_rng(7), cfg)
         channels = np.random.default_rng(8).normal(size=(6, 16, 16)).astype(np.float32)
         pred = predict_dense(params, channels, cfg)
         assert np.all(np.abs(pred.predicted_iou - expit(0.0)) < 0.2)

@@ -217,9 +217,9 @@ class TestEvaluateModel:
         config = SceneConfig(height=48, width=48, density=8e-4, noise_sigma=0.02)
         items = [generate_scene(config, np.random.default_rng(i)) for i in range(2)]
         dataset = InMemoryScenes(items)
-        det_config = DetectorConfig(num_classes=config.num_classes)
+        det_config = DetectorConfig()
         params = ToyDetectorParams.initialize(
-            config.num_channels, np.random.default_rng(0), det_config
+            config.num_channels, config.num_classes, np.random.default_rng(0), det_config
         )
         result = evaluate_model(params, dataset, det_config)
         assert result["map50"] <= 0.2

@@ -157,22 +157,28 @@ class TestAugment:
     def test_zero_amplitudes_make_strong_equal_weak(self):
         cfg = small_config()
         scene, channels = generate_scene(cfg, np.random.default_rng(21))
-        aug = AugmentConfig(flip_probability=1.0, add_sigma=0.0, mul_sigma=0.0, blur_sigma=0.0)
-        # The weak view is the flipped scene; flip_probability 1 draws a flip.
+        aug = AugmentConfig(add_sigma=0.0, mul_sigma=0.0, blur_sigma=0.0)
+        # The weak view is the flipped scene.
         _, weak = flip_scene(scene, channels)
-        _, strong, flip = strong_augment(scene, channels, np.random.default_rng(0), aug)
+        _, strong, flip = strong_augment(scene, channels, np.random.default_rng(0), aug, flip=True)
         assert flip is True
         np.testing.assert_array_equal(strong, weak)
 
     def test_strong_respects_pinned_flip(self):
         cfg = small_config()
         scene, channels = generate_scene(cfg, np.random.default_rng(22))
-        aug = AugmentConfig(flip_probability=0.0, add_sigma=0.0, mul_sigma=0.0, blur_sigma=0.0)
-        flipped_scene, out, flip = strong_augment(
-            scene, channels, np.random.default_rng(0), aug, flip=True
-        )
+        aug = AugmentConfig(add_sigma=0.0, mul_sigma=0.0, blur_sigma=0.0)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        flipped_scene, out, flip = strong_augment(scene, channels, rng, aug, flip=True)
         assert flip is True
         np.testing.assert_array_equal(out, flip_scene(scene, channels)[1])
+        np.testing.assert_array_equal(flipped_scene.boxes, flip_scene(scene, channels)[0].boxes)
+        same_scene, same, flip = strong_augment(scene, channels, rng, aug, flip=False)
+        assert flip is False and same_scene is scene
+        np.testing.assert_array_equal(same, channels)
+        # The flip is the caller's: no draw is taken for it.
+        assert rng.bit_generator.state == before
 
     def test_strong_jitter_reproducible(self):
         cfg = small_config()

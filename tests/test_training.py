@@ -11,6 +11,7 @@ import pytest
 from orientsemi.config import RunConfig, SemiConfig, Tab1Config
 from orientsemi.consistency import NgcConfig
 from orientsemi.detector import (
+    NUM_EXTRA_HEADS,
     DetectorConfig,
     ToyDetectorParams,
     decode_dense,
@@ -135,10 +136,11 @@ class TestSupervisedTargets:
         targets = build_supervised_targets(scene, config.height, config.width)
         assert targets.pos_flat.size > 0
         assert np.all(targets.t_ctr >= 0.0) and np.all(targets.t_ctr <= 1.0)
+        t_dx, _, _, _, t_cos, t_sin = targets.encoded
         # Direction targets are on the doubled-angle unit circle.
-        np.testing.assert_allclose(targets.t_cos**2 + targets.t_sin**2, 1.0, atol=1e-12)
+        np.testing.assert_allclose(t_cos**2 + t_sin**2, 1.0, atol=1e-12)
         # Offsets stay within the owner box's AABB half-diagonal.
-        assert np.all(np.abs(targets.t_dx) <= config.long_side_max)
+        assert np.all(np.abs(t_dx) <= config.long_side_max)
 
     def test_smallest_box_owns_contested_cells(self):
         from orientsemi.scenes import SyntheticScene
@@ -181,9 +183,8 @@ class TestSupervisedLoss:
         scene, channels = generate_scene(config, np.random.default_rng(seed))
         features = extract_features(channels)
         targets = build_supervised_targets(scene, config.height, config.width)
-        det = DetectorConfig(num_classes=config.num_classes)
         params = ToyDetectorParams.initialize(
-            config.num_channels, np.random.default_rng(seed + 1), det
+            config.num_channels, config.num_classes, np.random.default_rng(seed + 1), DetectorConfig()
         )
         return params, features, targets
 
@@ -231,8 +232,7 @@ class TestSupervisedLoss:
             scene_id=0,
         )
         targets = build_supervised_targets(scene, 8, 8)
-        det = DetectorConfig(num_classes=3)
-        weights = np.zeros((det.num_heads, 22))
+        weights = np.zeros((3 + NUM_EXTRA_HEADS, 22))
         weights[:3, -1] = -60.0
         weights[3 + 7, -1] = -60.0
         params = ToyDetectorParams(weights=weights, num_classes=3)
@@ -248,15 +248,15 @@ def build_test_pairs(seed=0, grid=24):
     """Teacher/student predictions different enough to produce pairs."""
     config = tiny_scene_config(height=grid, width=grid)
     scene, channels = generate_scene(config, np.random.default_rng(seed))
-    det = DetectorConfig(num_classes=config.num_classes)
+    det = DetectorConfig()
     features = extract_features(channels)
     teacher_params = ToyDetectorParams.initialize(
-        config.num_channels, np.random.default_rng(seed + 1), det
+        config.num_channels, config.num_classes, np.random.default_rng(seed + 1), det
     )
     # Push the teacher's class scores up so the sampler finds candidates.
-    teacher_params.weights[: det.num_classes, -1] = 0.5
+    teacher_params.weights[: config.num_classes, -1] = 0.5
     student_params = ToyDetectorParams.initialize(
-        config.num_channels, np.random.default_rng(seed + 2), det
+        config.num_channels, config.num_classes, np.random.default_rng(seed + 2), det
     )
     teacher_raw = forward(teacher_params, features)
     student_raw = forward(student_params, features)
@@ -297,7 +297,7 @@ class TestWeightedPairLoss:
             params, raw, features, pairs, run.scene.width, 50.0, True, det.min_side, det.max_side
         )
         # Recompute the mean weight from the scalar reference on each pair.
-        k = det.num_classes
+        k = params.num_classes
         cols = pairs.iy * run.scene.width + pairs.ix
         c_raw = raw[k + 4, cols]
         s_raw = raw[k + 5, cols]
@@ -333,7 +333,7 @@ class TestWeightedPairLoss:
         assert loss_on >= loss_off - 1e-12
 
     def _reference_omega(self, det, raw, pairs, width):
-        k = det.num_classes
+        k = pairs.teacher.score_rows.shape[1]
         cols = pairs.iy * width + pairs.ix
         c_raw = raw[k + 4, cols]
         s_raw = raw[k + 5, cols]
@@ -453,7 +453,7 @@ class TestConsistencyLoss:
             params, raw, features, pairs, run.scene.width, run, np.random.default_rng(4)
         )
         assert diag["gated"] is False
-        k = det.num_classes
+        k = params.num_classes
         cols = pairs.iy * run.scene.width + pairs.ix
         cidx = pairs.teacher.class_index
         rows = np.arange(len(pairs))
@@ -572,6 +572,40 @@ class TestTrainingRuns:
         np.testing.assert_array_equal(state.student.weights, weights)
         np.testing.assert_array_equal(state.momentum_buffer, momentum)
         assert state.iteration == 0
+
+
+class TestSplitChecks:
+    """A split that does not fit the run fails before iteration 0."""
+
+    def test_canvas_mismatch_raises(self, tmp_path):
+        config = tiny_run_config()
+        config.scene = tiny_scene_config(height=48, width=48)
+        big = tiny_scene_config(height=64, width=64)
+        labeled = InMemoryScenes([generate_scene(big, np.random.default_rng(1), scene_id=7)])
+        message = r"^labeled split: scene 7 has height 64, but scene\.height is 48$"
+        with pytest.raises(ValueError, match=message):
+            run_training(config, labeled, out_dir=tmp_path)
+        assert not (tmp_path / "metrics.jsonl").exists()
+        assert not (tmp_path / "checkpoint.bin").exists()
+
+    def test_class_index_out_of_range_raises(self, tmp_path):
+        config = tiny_run_config()
+        labeled, _ = make_datasets(config)
+        four = tiny_scene_config(num_classes=4)
+        items = [generate_scene(four, np.random.default_rng(200 + i), scene_id=i) for i in range(6)]
+        assert any(np.any(scene.classes == 3) for scene, _ in items)
+        message = r"^unlabeled split: scene \d+ has class index 3, but scene\.num_classes is 3$"
+        with pytest.raises(ValueError, match=message):
+            run_training(config, labeled, InMemoryScenes(items), out_dir=tmp_path)
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_config_mutated_in_code_is_checked(self):
+        # The sampler reads score_floor only after burn-in; the check must
+        # not wait for it.
+        config = tiny_run_config(score_floor=2.0)
+        labeled, unlabeled = make_datasets(config)
+        with pytest.raises(ValueError, match="score_floor"):
+            run_training(config, labeled, unlabeled, stop_after=1)
 
 
 class TestCheckpointing:
