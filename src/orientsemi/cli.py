@@ -90,12 +90,14 @@ def _apply_train_flags(config, args) -> None:
 def cmd_train(args) -> int:
     from orientsemi.config import save_ini
     from orientsemi.scenes import SceneDataset
-    from orientsemi.training import run_training
+    from orientsemi.training import check_run, run_training
 
     config = _build_config(args)
     _apply_train_flags(config, args)
     labeled = SceneDataset(args.labeled)
     unlabeled = SceneDataset(args.unlabeled) if args.unlabeled else None
+    # Before anything is written: a run that cannot start leaves no files.
+    check_run(config, labeled, unlabeled)
     out = args.out or output_root() / "train"
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)

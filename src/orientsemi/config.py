@@ -76,6 +76,10 @@ class SemiConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self.check()
+
+    def check(self) -> None:
+        """Raise ``ValueError`` if a setting is out of range."""
         if self.total_iters < 1:
             raise ValueError("total_iters must be >= 1")
         if not 0.0 < self.ema_momentum <= 1.0:
@@ -88,6 +92,15 @@ class SemiConfig:
             raise ValueError(f"topk must be >= 0, got {self.topk}")
         if self.labeled_batch < 1 or self.unlabeled_batch < 1:
             raise ValueError("batch sizes must be >= 1")
+        if self.lr <= 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        for name in ("weight_decay", "grad_clip"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.flip_probability <= 1.0:
+            raise ValueError(f"flip_probability must be in [0, 1], got {self.flip_probability}")
 
     @property
     def burn_in_iters(self) -> int:
@@ -130,11 +143,13 @@ class RunConfig:
     def check(self) -> None:
         """Raise ``ValueError`` if a setting is out of range.
 
-        Sections check themselves on construction; building the three
-        mechanism configs runs the checks on the settings they take from
-        ``[semi]`` and ``[tab1]``, which otherwise would fire only at the
-        first unlabeled step.
+        Sections check themselves on construction, and ``[semi]`` again
+        here, since code may set its fields after construction; building
+        the three mechanism configs runs the checks on the settings they
+        take from ``[semi]`` and ``[tab1]``, which otherwise would fire
+        only at the first unlabeled step.
         """
+        self.semi.check()
         self.sampler_config()
         self.ngc_config()
         self.augment_config()

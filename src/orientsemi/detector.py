@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -88,6 +89,38 @@ def extract_features(channels: np.ndarray) -> np.ndarray:
     return stack.reshape(stack.shape[0], h * w)
 
 
+def mirror_features(
+    features: np.ndarray, num_channels: int, width: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The feature matrix of a channel stack mirrored by
+    :func:`~orientsemi.scenes.flip_scene`, made from the unmirrored
+    stack's ``features``: grid columns reversed, and the three sin(2a)
+    rows (raw, three-cell and seven-cell mean) negated.  Written into
+    ``out`` if given.
+
+    It equals ``extract_features`` of the mirrored stack bit for bit
+    whenever the box filters' running window sums are exact in float64:
+    for instance when every channel value is a multiple of 2^-10 below 16
+    in magnitude, and on every noisy rendered scene tried.  Where a line
+    mixes magnitudes far apart, the running sum rounds, and the mirrored
+    stack sums in the opposite order.  The mean rows can then differ by
+    that rounding: on a noise-free scene, where blob tails reach 1e-30,
+    the two give residues near 1e-26 in different cells.
+    """
+    if out is None:
+        out = np.empty_like(features)
+    rows = features.shape[0]
+    np.copyto(out.reshape(rows, -1, width), features.reshape(rows, -1, width)[:, :, ::-1])
+    c = num_channels
+    # The raw row is the negated channel, so it carries -0.0 where the
+    # channel holds +0.0.  A filter's window sum starts at +0.0 and never
+    # yields -0.0, so the mean rows negate as 0 - x.
+    np.negative(out[c - 1], out=out[c - 1])
+    for row in (2 * c - 1, 3 * c - 1):
+        np.subtract(0.0, out[row], out=out[row])
+    return out
+
+
 @dataclass
 class ToyDetectorParams:
     """Weight matrix (num_heads, num_features), float64."""
@@ -129,9 +162,10 @@ class ToyDetectorParams:
         return self.weights.size
 
 
-def forward(params: ToyDetectorParams, features: np.ndarray) -> np.ndarray:
-    """Raw head outputs (num_heads, N) for a feature matrix (F, N)."""
-    return params.weights @ features
+def forward(params: ToyDetectorParams, features: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Raw head outputs (num_heads, N) for a feature matrix (F, N),
+    written into ``out`` (float64, C-contiguous) if given."""
+    return np.matmul(params.weights, features, out=out)
 
 
 def decode_angle(cos_raw: np.ndarray, sin_raw: np.ndarray) -> np.ndarray:

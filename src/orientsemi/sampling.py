@@ -84,6 +84,9 @@ class SamplerConfig:
             raise ValueError(f"sample_ratio must be in (0, 1], got {self.sample_ratio}")
         if self.pre_nms_top < 1:
             raise ValueError(f"pre_nms_top must be >= 1, got {self.pre_nms_top}")
+        for name in ("nms_iou", "hard_iou_threshold"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass

@@ -248,18 +248,14 @@ def render_scene(scene: SyntheticScene, config: SceneConfig, rng: np.random.Gene
     return channels.astype(np.float32)
 
 
-def flip_scene(scene: SyntheticScene, channels: np.ndarray) -> tuple[SyntheticScene, np.ndarray]:
-    """Mirror scene and channels about the vertical axis.
-
-    Box centers map cx -> W - cx and angles negate; the sin(2a) channel
-    flips sign because the mirrored angle is -a.  Involutive: applying
-    twice returns the original up to float identity.
-    """
+def flip_ground_truth(scene: SyntheticScene) -> SyntheticScene:
+    """Mirror the ground truth about the vertical axis: box centers map
+    cx -> W - cx and angles negate."""
     boxes = scene.boxes.copy()
     if boxes.size:
         boxes[:, 0] = scene.width - boxes[:, 0]
         boxes[:, 4] = [normalize_angle(-a) for a in boxes[:, 4]]
-    flipped = SyntheticScene(
+    return SyntheticScene(
         height=scene.height,
         width=scene.width,
         boxes=boxes,
@@ -267,9 +263,18 @@ def flip_scene(scene: SyntheticScene, channels: np.ndarray) -> tuple[SyntheticSc
         layout=scene.layout,
         scene_id=scene.scene_id,
     )
+
+
+def flip_scene(scene: SyntheticScene, channels: np.ndarray) -> tuple[SyntheticScene, np.ndarray]:
+    """Mirror scene and channels about the vertical axis.
+
+    The ground truth flips as in :func:`flip_ground_truth`; the sin(2a)
+    channel flips sign because the mirrored angle is -a.  Involutive:
+    applying twice returns the original up to float identity.
+    """
     out = channels[:, :, ::-1].copy()
     out[-1] = -out[-1]
-    return flipped, out
+    return flip_ground_truth(scene), out
 
 
 @dataclass
@@ -284,6 +289,11 @@ class AugmentConfig:
     add_sigma: float = 0.05
     mul_sigma: float = 0.1
     blur_sigma: float = 0.6
+
+    def __post_init__(self) -> None:
+        for name in ("add_sigma", "mul_sigma", "blur_sigma"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def strong_augment(
@@ -307,8 +317,8 @@ def strong_augment(
     if config.add_sigma > 0.0:
         out += config.add_sigma * rng.standard_normal(out.shape).astype(np.float32)
     if config.blur_sigma > 0.0:
-        for ch in range(out.shape[0]):
-            out[ch] = gaussian_filter(out[ch], sigma=config.blur_sigma, mode="nearest")
+        # Zero sigma on the channel axis: each channel is blurred alone.
+        out = gaussian_filter(out, sigma=(0.0, config.blur_sigma, config.blur_sigma), mode="nearest")
     return scene, out, flip
 
 
@@ -411,4 +421,17 @@ class SceneDataset:
         return len(self.scenes)
 
     def channels(self, i: int) -> np.ndarray:
-        return np.load(self.root / self._records[i]["file"])
+        """Scene ``i``'s (C, H, W) float32 channel stack.
+
+        Raises ``ValueError`` naming the file if the stored array is not
+        3-D float32 with the index record's height and width.
+        """
+        record = self._records[i]
+        path = self.root / record["file"]
+        array = np.load(path)
+        if array.dtype != np.float32 or array.ndim != 3 or array.shape[1:] != (record["height"], record["width"]):
+            raise ValueError(
+                f"{path}: channel stack is {array.dtype} {array.shape}, expected float32 "
+                f"(C, {record['height']}, {record['width']})"
+            )
+        return array

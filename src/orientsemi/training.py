@@ -32,6 +32,7 @@ from orientsemi.config import RunConfig
 from orientsemi.consistency import build_distribution, ngc_loss
 from orientsemi.detector import (
     DIRECTION_EPS,
+    NUM_EXTRA_HEADS,
     OFF_COS,
     OFF_CTR,
     OFF_DX,
@@ -46,11 +47,12 @@ from orientsemi.detector import (
     encode_boxes,
     extract_features,
     forward,
+    mirror_features,
 )
 from orientsemi.geometry import RotatedBox, grid_cells_in_box
 from orientsemi.records import canonical_line, write_atomic
 from orientsemi.sampling import PROVENANCE_EASY, DensePrediction, PseudoLabelSet, build_pairs, topk_pairs
-from orientsemi.scenes import SceneConfig, SyntheticScene, flip_scene, strong_augment
+from orientsemi.scenes import SceneConfig, SyntheticScene, flip_ground_truth, flip_scene, strong_augment
 from orientsemi.weighting import pair_weights
 
 CHECKPOINT_MAGIC = b"ORIENTSEMI-CKPT v1\n"
@@ -59,9 +61,28 @@ CHECKPOINT_MAGIC = b"ORIENTSEMI-CKPT v1\n"
 _FEATURE_CACHE_BYTES = 1_500_000_000
 
 
-def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Elementwise BCE on logits, stable for large |logits|."""
-    return np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
+def binary_cross_entropy(
+    logits: np.ndarray,
+    targets: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Elementwise BCE on logits, stable for large |logits|:
+    max(z, 0) - z t + log1p(exp(-|z|)).
+
+    The result goes to ``out`` and an intermediate to ``scratch``; both
+    have the shape of ``logits`` and are allocated when not given.
+    """
+    out = np.empty_like(logits) if out is None else out
+    scratch = np.empty_like(logits) if scratch is None else scratch
+    np.maximum(logits, 0.0, out=out)
+    np.multiply(logits, targets, out=scratch)
+    np.subtract(out, scratch, out=out)
+    np.abs(logits, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.log1p(scratch, out=scratch)
+    return np.add(out, scratch, out=out)
 
 
 def smooth_l1(err: np.ndarray) -> np.ndarray:
@@ -198,6 +219,34 @@ def head_errors(
     return errs, c_raw, s_raw, c_raw / norm - t_cos, s_raw / norm - t_sin, raw[k + OFF_CTR, cols]
 
 
+@dataclass
+class SupervisedWorkspace:
+    """The arrays :func:`supervised_loss` writes for a grid of N cells:
+    head outputs and their gradient, (num_heads, N), the features
+    cell-major, (N, F), and three (K, N) classification arrays.
+    ``cls_targets`` is all zero between calls."""
+
+    raw: np.ndarray
+    d_raw: np.ndarray
+    features_t: np.ndarray
+    cls_targets: np.ndarray
+    cls_loss: np.ndarray
+    scratch: np.ndarray
+
+    @classmethod
+    def for_grid(cls, num_classes: int, num_features: int, n: int) -> "SupervisedWorkspace":
+        heads = (num_classes + NUM_EXTRA_HEADS, n)
+        per_class = (num_classes, n)
+        return cls(
+            raw=np.empty(heads),
+            d_raw=np.empty(heads),
+            features_t=np.empty((n, num_features)),
+            cls_targets=np.zeros(per_class),
+            cls_loss=np.empty(per_class),
+            scratch=np.empty(per_class),
+        )
+
+
 def supervised_loss(
     params: ToyDetectorParams,
     features: np.ndarray,
@@ -205,6 +254,7 @@ def supervised_loss(
     rng: np.random.Generator,
     iou_pos_samples: int,
     iou_neg_samples: int,
+    workspace: Optional[SupervisedWorkspace] = None,
 ) -> tuple[float, np.ndarray, dict]:
     """Dense supervised loss and its gradient on the weight matrix.
 
@@ -212,21 +262,25 @@ def supervised_loss(
     direction, and centerness are evaluated at positive cells; the
     predicted-IoU head trains on a per-step subsample of positives and
     negatives against the geometric quality map.  All terms normalise by
-    the positive count.
+    the positive count.  The grid-sized arrays are written into
+    ``workspace``, or into a fresh one.
     """
     k = params.num_classes
-    raw = forward(params, features)
+    ws = SupervisedWorkspace.for_grid(k, *features.shape) if workspace is None else workspace
+    raw = forward(params, features, out=ws.raw)
     n = raw.shape[1]
     pos = targets.pos_flat
     n_pos = max(pos.size, 1)
-    d_raw = np.zeros_like(raw)
+    d_raw = ws.d_raw
+    d_raw[k:] = 0.0
 
-    cls_targets = np.zeros((k, n))
-    if pos.size:
-        cls_targets[targets.pos_class, pos] = 1.0
-    probs = expit(raw[:k])
-    loss_cls = float(binary_cross_entropy(raw[:k], cls_targets).sum()) / n_pos
-    d_raw[:k] = (probs - cls_targets) / n_pos
+    cls_targets = ws.cls_targets
+    cls_targets[targets.pos_class, pos] = 1.0
+    loss_cls = float(binary_cross_entropy(raw[:k], cls_targets, ws.cls_loss, ws.scratch).sum()) / n_pos
+    d_cls = expit(raw[:k], out=d_raw[:k])
+    d_cls -= cls_targets
+    d_cls /= n_pos
+    cls_targets[targets.pos_class, pos] = 0.0
 
     loss_reg = 0.0
     loss_ctr = 0.0
@@ -267,7 +321,11 @@ def supervised_loss(
         d_raw[k + OFF_IOU, sample] = (expit(z_iou) - t_iou) / sample.size
 
     loss = loss_cls + loss_reg + loss_ctr + loss_iou
-    grad = d_raw @ features.T
+    # A C-contiguous right operand whatever the features' dtype and
+    # layout: dgemm's kernel for a transposed one sums in another order
+    # on some grids, so the gradient's bits would depend on them.
+    np.copyto(ws.features_t, features.T)
+    grad = d_raw @ ws.features_t
     parts = {"cls": loss_cls, "reg": loss_reg, "ctr": loss_ctr, "iou": loss_iou}
     return loss, grad, parts
 
@@ -348,7 +406,8 @@ def weighted_pair_loss(
     d_cols[k + OFF_SIN] = ds
     d_cols[k + OFF_CTR] = scaled * (expit(z_ctr) - t_ctr)
 
-    grad = d_cols @ features[:, cols].T
+    # Gathered as rows, so C-contiguous (see supervised_loss).
+    grad = d_cols @ features.T[cols]
     parts = {
         "n_pairs": n_pairs,
         "mean_weight": float(omega.mean()),
@@ -408,7 +467,7 @@ def consistency_loss(
     d_z = result.grad_values * student_dist.values * p_pair * (1.0 - p_pair)
     d_cols = np.zeros((raw.shape[0], n_pairs))
     d_cols[cls_idx, np.arange(n_pairs)] = d_z
-    grad = d_cols @ features[:, cols].T
+    grad = d_cols @ features.T[cols]
     return result.loss, grad, diag
 
 
@@ -479,46 +538,80 @@ def ema_update(state: TrainState) -> TrainState:
 
 
 class Trainer:
-    """Binds a config to datasets and owns the per-run caches.
+    """Binds a config to datasets and owns the per-run caches and the
+    per-step arrays.
 
-    Feature matrices and supervised targets are pure functions of
-    (scene, flip), so they are memoised; the feature cache is bounded
-    LRU because the unlabeled pool can be large.
+    Each labeled scene's float64 feature matrix is memoised once, in an
+    LRU bounded by bytes; its flipped view is mirrored from it.
+    Supervised targets are memoised per (scene, flip).  Unlabeled scenes
+    are read once per step and not cached: drawn from a large pool, few
+    recur within a run.  Head outputs, their gradient and the views'
+    feature matrices are written into arrays allocated once per run,
+    which the next step overwrites.
     """
 
     def __init__(self, config: RunConfig, labeled, unlabeled=None):
         self.config = config
         self.labeled = labeled
         self.unlabeled = unlabeled
-        self._features: OrderedDict = OrderedDict()
+        self._features: OrderedDict[int, np.ndarray] = OrderedDict()
         self._feature_bytes = 0
         self._targets: dict = {}
+        cells = config.scene.height * config.scene.width
+        num_classes = config.scene.num_classes
+        features = (config.detector.num_features(config.scene.num_channels), cells)
+        heads = (num_classes + NUM_EXTRA_HEADS, cells)
+        self._mirrored = np.empty(features)
+        self._weak = np.empty(features)
+        self._strong = np.empty(features)
+        self._teacher_raw = np.empty(heads)
+        self._student_raw = np.empty(heads)
+        self._supervised = SupervisedWorkspace.for_grid(num_classes, *features)
         # (scene_id, flip, pairs) per unlabeled view of the last step.
         self.last_pairs: list[tuple[int, bool, PseudoLabelSet]] = []
 
-    def features_for(self, tag: str, index: int, flip: bool) -> tuple[SyntheticScene, np.ndarray]:
-        dataset = self.labeled if tag == "lab" else self.unlabeled
-        scene = dataset.scenes[index]
-        key = (tag, index, flip)
-        cached = self._features.get(key)
-        if cached is None:
-            channels = dataset.channels(index)
-            if flip:
-                scene_f, channels = flip_scene(scene, channels)
-            else:
-                scene_f = scene
-            cached = (scene_f, extract_features(channels))
-            self._features[key] = cached
-            self._feature_bytes += cached[1].nbytes
+    def features_for(self, index: int, flip: bool) -> tuple[SyntheticScene, np.ndarray]:
+        """Labeled scene ``index`` and its float64 feature matrix, both
+        flipped if ``flip``.  The flipped matrix is mirrored
+        (:func:`~orientsemi.detector.mirror_features`) into a buffer that
+        the next flipped lookup overwrites."""
+        scene = self.labeled.scenes[index]
+        features = self._features.get(index)
+        if features is None:
+            features = extract_features(self.labeled.channels(index)).astype(np.float64)
+            self._features[index] = features
+            self._feature_bytes += features.nbytes
             while self._feature_bytes > _FEATURE_CACHE_BYTES and len(self._features) > 1:
-                _, (_, evicted) = self._features.popitem(last=False)
+                _, evicted = self._features.popitem(last=False)
                 self._feature_bytes -= evicted.nbytes
         else:
-            self._features.move_to_end(key)
-        return cached
+            self._features.move_to_end(index)
+        if not flip:
+            return scene, features
+        mirrored = mirror_features(features, self.config.scene.num_channels, scene.width, out=self._mirrored)
+        return flip_ground_truth(scene), mirrored
 
-    def targets_for(self, tag: str, index: int, flip: bool, scene: SyntheticScene) -> SupervisedTargets:
-        key = (tag, index, flip)
+    def unlabeled_views(
+        self, index: int, flip: bool, rng: np.random.Generator
+    ) -> tuple[SyntheticScene, np.ndarray, np.ndarray]:
+        """Unlabeled scene ``index`` under the shared ``flip``, with the
+        float64 feature matrices of its weak view (flip only) and its
+        strong view (:func:`~orientsemi.scenes.strong_augment`, which
+        draws from ``rng``).  The channels are read once; the matrices
+        are buffers that the next call overwrites."""
+        scene = self.unlabeled.scenes[index]
+        channels = self.unlabeled.channels(index)
+        if flip:
+            scene, channels = flip_scene(scene, channels)
+        np.copyto(self._weak, extract_features(channels))
+        # The weak view is flipped already; the strong view adds pixel
+        # jitter and blur to it.
+        _, strong, _ = strong_augment(scene, channels, rng, self.config.augment_config(), flip=False)
+        np.copyto(self._strong, extract_features(strong))
+        return scene, self._weak, self._strong
+
+    def targets_for(self, index: int, flip: bool, scene: SyntheticScene) -> SupervisedTargets:
+        key = (index, flip)
         if key not in self._targets:
             cfg = self.config.scene
             self._targets[key] = build_supervised_targets(scene, cfg.height, cfg.width)
@@ -546,8 +639,8 @@ class Trainer:
         loss_s = 0.0
         for index in labeled_indices:
             flip = bool(rng.random() < semi.flip_probability)
-            scene_f, features = self.features_for("lab", int(index), flip)
-            targets = self.targets_for("lab", int(index), flip, scene_f)
+            scene_f, features = self.features_for(int(index), flip)
+            targets = self.targets_for(int(index), flip, scene_f)
             loss_i, grad_i, _ = supervised_loss(
                 state.student,
                 features,
@@ -555,6 +648,7 @@ class Trainer:
                 rng,
                 semi.iou_pos_samples,
                 semi.iou_neg_samples,
+                workspace=self._supervised,
             )
             loss_s += loss_i / len(labeled_indices)
             grad += grad_i / len(labeled_indices)
@@ -574,17 +668,10 @@ class Trainer:
             batch = len(unlabeled_indices)
             for index in unlabeled_indices:
                 flip = bool(rng.random() < semi.flip_probability)
-                weak_scene, weak_features = self.features_for("unlab", int(index), flip)
-                teacher_raw = forward(state.teacher, weak_features)
+                scene, weak_features, strong_features = self.unlabeled_views(int(index), flip, rng)
+                teacher_raw = forward(state.teacher, weak_features, out=self._teacher_raw)
                 teacher_pred = decode_dense(state.teacher, teacher_raw, height, width, config.detector)
-
-                channels = self.unlabeled.channels(int(index))
-                scene = self.unlabeled.scenes[int(index)]
-                _, strong_channels, _ = strong_augment(
-                    scene, channels, rng, config.augment_config(), flip=flip
-                )
-                strong_features = extract_features(strong_channels)
-                student_raw = forward(state.student, strong_features)
+                student_raw = forward(state.student, strong_features, out=self._student_raw)
                 student_pred = decode_dense(state.student, student_raw, height, width, config.detector)
 
                 pairs = sample_pairs(teacher_pred, student_pred, config, rng)
@@ -744,6 +831,16 @@ def check_split(name: str, dataset, config: SceneConfig) -> None:
             )
 
 
+def check_run(config: RunConfig, labeled, unlabeled=None) -> None:
+    """Raise ``ValueError`` if a setting is out of range
+    (:meth:`RunConfig.check`) or a split does not fit the run
+    (:func:`check_split`)."""
+    config.check()
+    check_split("labeled", labeled, config.scene)
+    if unlabeled is not None:
+        check_split("unlabeled", unlabeled, config.scene)
+
+
 def run_training(
     config: RunConfig,
     labeled,
@@ -766,14 +863,10 @@ def run_training(
     an iteration count below the configured total (state is still
     checkpointed), which models an interrupted run.
 
-    Raises ``ValueError`` before the first iteration if a setting is out
-    of range (:meth:`RunConfig.check`) or a split does not fit the run
-    (:func:`check_split`).
+    Raises ``ValueError`` before the first iteration if
+    :func:`check_run` does.
     """
-    config.check()
-    check_split("labeled", labeled, config.scene)
-    if unlabeled is not None:
-        check_split("unlabeled", unlabeled, config.scene)
+    check_run(config, labeled, unlabeled)
     if resume_from is not None:
         state = load_checkpoint(resume_from)
         if state.config.to_dict() != config.to_dict():

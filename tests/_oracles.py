@@ -4,7 +4,8 @@ Each oracle deliberately avoids the code path it checks: IoU is estimated
 by Monte Carlo rasterisation, transport plans come from scipy's LP solver,
 gradients from central finite differences.  The slow forms that fast
 paths replaced (Sinkhorn with a plan per iteration, the broadcast cost
-matrix) are kept here, and the fast paths must match them bit for bit.
+matrix, the per-channel blur, the float32 feature cache per scene view)
+are kept here, and the fast paths must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -12,10 +13,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
+from orientsemi.detector import extract_features
 from orientsemi.geometry import RotatedBox
+from orientsemi.scenes import flip_scene, strong_augment
+from orientsemi.training import Trainer
 
 
 def mc_intersection_area(a: RotatedBox, b: RotatedBox, pool: np.ndarray) -> float:
@@ -300,3 +305,42 @@ def broadcast_cost_matrix(
     if s_max > 0.0:
         cost += score_gap / s_max
     return cost
+
+
+def per_channel_blur(channels: np.ndarray, sigma: float) -> np.ndarray:
+    """The strong view's blur as one 2-D ``gaussian_filter`` call per
+    channel."""
+    out = channels.copy()
+    for ch in range(out.shape[0]):
+        out[ch] = gaussian_filter(out[ch], sigma=sigma, mode="nearest")
+    return out
+
+
+class PerViewFloat32Trainer(Trainer):
+    """A ``Trainer`` whose feature path is one float32 matrix per (split,
+    scene, flip), each extracted from flipped channels, unbounded.  Weak
+    unlabeled views come from that cache too; the strong view reads the
+    channels again and flips them itself."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._per_view: dict = {}
+
+    def _view(self, dataset, index: int, flip: bool):
+        key = (dataset is self.labeled, index, flip)
+        if key not in self._per_view:
+            scene, channels = dataset.scenes[index], dataset.channels(index)
+            if flip:
+                scene, channels = flip_scene(scene, channels)
+            self._per_view[key] = (scene, extract_features(channels))
+        return self._per_view[key]
+
+    def features_for(self, index, flip):
+        return self._view(self.labeled, index, flip)
+
+    def unlabeled_views(self, index, flip, rng):
+        scene, weak = self._view(self.unlabeled, index, flip)
+        _, strong, _ = strong_augment(
+            self.unlabeled.scenes[index], self.unlabeled.channels(index), rng, self.config.augment_config(), flip=flip
+        )
+        return scene, weak, extract_features(strong)

@@ -287,6 +287,25 @@ class TestErrorPath:
         for name in ("config.ini", "metrics.jsonl", "checkpoint.bin"):
             assert not (out / name).exists()
 
+    def test_split_that_does_not_fit_leaves_out_empty(self, datasets, tmp_path, capsys):
+        out = tmp_path / "train"
+        code, lines, errors = run_cli(
+            [
+                "train",
+                "--labeled", str(datasets / "lab"),
+                "--unlabeled", str(datasets / "unlab"),
+                "--out", str(out),
+            ]
+            + TINY_TRAIN
+            + ["--set", "scene.height=32"],
+            capsys,
+        )
+        assert code == 1
+        assert not lines
+        assert errors[-1]["error"] == "ValueError"
+        assert "has height 24, but scene.height is 32" in errors[-1]["message"]
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestRecords:
     def test_write_read_round_trip(self, tmp_path):

@@ -15,10 +15,11 @@ from orientsemi.consistency import NgcConfig
 from orientsemi.sampling import SamplerConfig
 from orientsemi.scenes import AugmentConfig
 
-DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DEFAULT_INI = CONFIGS / "default.ini"
 
-# Settings that, unchecked at load time, fail only at the first
-# unlabeled step.
+# Out-of-range settings: each must fail at load time, not at the first
+# unlabeled step or never.
 OUT_OF_RANGE = [
     "semi.score_floor=2.0",
     "tab1.sample_ratio=0",
@@ -29,6 +30,35 @@ OUT_OF_RANGE = [
     "semi.ot_max_iters=0",
     "semi.ot_tolerance=0",
     "semi.topk=-1",
+    "semi.lr=0",
+    "semi.lr=-1",
+    "semi.momentum=1",
+    "semi.momentum=5",
+    "semi.momentum=-0.1",
+    "semi.weight_decay=-1e-4",
+    "semi.grad_clip=-1",
+    "semi.nms_iou=7",
+    "semi.nms_iou=-0.1",
+    "tab1.hard_iou_threshold=-2",
+    "tab1.hard_iou_threshold=1.5",
+    "semi.flip_probability=1.5",
+    "semi.flip_probability=-0.5",
+    "semi.add_sigma=-0.05",
+    "semi.mul_sigma=-0.1",
+    "semi.blur_sigma=-0.6",
+]
+# The closed ends of those ranges load.
+IN_RANGE = [
+    "semi.momentum=0",
+    "semi.weight_decay=0",
+    "semi.grad_clip=0",
+    "semi.nms_iou=0",
+    "semi.nms_iou=1",
+    "tab1.hard_iou_threshold=0",
+    "tab1.hard_iou_threshold=1",
+    "semi.flip_probability=0",
+    "semi.flip_probability=1",
+    "semi.blur_sigma=0",
 ]
 
 
@@ -145,6 +175,20 @@ class TestChecks:
         path.write_text(f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ValueError):
             load_ini(path)
+
+    @pytest.mark.parametrize("override", IN_RANGE)
+    def test_range_ends_accepted(self, override):
+        apply_overrides(RunConfig(), [override])
+
+    @pytest.mark.parametrize("name", ["default.ini", "benchmark10.ini"])
+    def test_shipped_configs_load(self, name):
+        load_ini(CONFIGS / name).check()
+
+    def test_field_set_in_code_is_checked(self):
+        config = RunConfig()
+        config.semi.lr = -1.0
+        with pytest.raises(ValueError, match="lr must be > 0"):
+            config.check()
 
     def test_later_override_repairs_earlier(self):
         config = apply_overrides(RunConfig(), ["semi.score_floor=2.0", "semi.score_floor=0.5"])

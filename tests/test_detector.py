@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from orientsemi.detector import (
@@ -21,9 +24,65 @@ from orientsemi.detector import (
     decode_dense,
     extract_features,
     forward,
+    mirror_features,
     predict_dense,
 )
-from orientsemi.scenes import SceneConfig, generate_scene
+from orientsemi.scenes import SceneConfig, SyntheticScene, flip_scene, generate_scene
+
+
+@st.composite
+def dyadic_stacks(draw):
+    """(C, H, W) float32 stacks of multiples of 2^-10 below 16 in
+    magnitude, on which the box filters' float64 window sums are exact."""
+    shape = (draw(st.integers(4, 6)), draw(st.integers(2, 24)), draw(st.integers(2, 24)))
+    steps = draw(arrays(np.int32, shape, elements=st.integers(-(2**14) + 1, 2**14 - 1)))
+    return (steps * 2.0**-10).astype(np.float32)
+
+
+def features_of_flipped(channels: np.ndarray) -> np.ndarray:
+    c, h, w = channels.shape
+    blank = SyntheticScene(height=h, width=w, boxes=np.empty((0, 5)), classes=np.empty(0), layout="uniform")
+    return extract_features(flip_scene(blank, channels)[1]).astype(np.float64)
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    """Equal including the sign of every zero."""
+    assert a.dtype == b.dtype == np.float64
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestMirror:
+    """Features of a flipped stack, from the unflipped stack's features."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dyadic_stacks())
+    def test_equals_features_of_flipped_stack(self, channels):
+        c, _, w = channels.shape
+        mirrored = mirror_features(extract_features(channels).astype(np.float64), c, w)
+        assert_same_bits(mirrored, features_of_flipped(channels))
+
+    @pytest.mark.parametrize("height, width, seed", [(96, 96, 0), (96, 96, 1), (40, 57, 2), (57, 40, 3)])
+    def test_rendered_scenes(self, height, width, seed):
+        # Noisy scenes, as every shipped config renders them, match bit for
+        # bit; noise-free ones only to float32 rounding of the mean rows.
+        for noise_sigma in (0.05, 0.0):
+            config = SceneConfig(height=height, width=width, density=2e-3, long_side_min=8.0,
+                                 long_side_max=24.0, noise_sigma=noise_sigma)
+            _, channels = generate_scene(config, np.random.default_rng(seed))
+            mirrored = mirror_features(extract_features(channels).astype(np.float64), config.num_channels, width)
+            expected = features_of_flipped(channels)
+            if noise_sigma > 0.0:
+                assert_same_bits(mirrored, expected)
+            else:
+                tolerance = np.finfo(np.float32).eps * np.abs(expected).max()
+                np.testing.assert_allclose(mirrored, expected, rtol=0.0, atol=tolerance)
+
+    def test_writes_into_out(self):
+        channels = (np.random.default_rng(4).integers(-1000, 1000, size=(6, 9, 12)) * 2.0**-10).astype(np.float32)
+        features = extract_features(channels).astype(np.float64)
+        out = np.empty_like(features)
+        assert mirror_features(features, 6, 12, out=out) is out
+        assert_same_bits(out, features_of_flipped(channels))
 
 
 class TestFeatures:

@@ -19,6 +19,8 @@ from orientsemi.scenes import (
     strong_augment,
 )
 
+from tests._oracles import per_channel_blur
+
 
 def small_config(**kwargs) -> SceneConfig:
     defaults = dict(height=96, width=96, density=6e-4, noise_sigma=0.0)
@@ -190,6 +192,18 @@ class TestAugment:
         _, c, _ = strong_augment(scene, channels, np.random.default_rng(6), aug, flip=False)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("blur_sigma", [0.6, 1.3])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_blur_matches_per_channel_oracle(self, blur_sigma, flip):
+        cfg = small_config(noise_sigma=0.05)
+        scene, channels = generate_scene(cfg, np.random.default_rng(25))
+        aug = AugmentConfig(add_sigma=0.0, mul_sigma=0.0, blur_sigma=blur_sigma)
+        _, out, _ = strong_augment(scene, channels, np.random.default_rng(0), aug, flip=flip)
+        view = flip_scene(scene, channels)[1] if flip else channels
+        expected = per_channel_blur(view, blur_sigma)
+        assert out.dtype == expected.dtype == np.float32
+        np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+
     def test_strong_perturbs_pixels(self):
         cfg = small_config()
         scene, channels = generate_scene(cfg, np.random.default_rng(24))
@@ -220,6 +234,24 @@ class TestDatasetIO:
         for (a, ch_a), (b, ch_b) in zip(three, five):
             np.testing.assert_array_equal(a.boxes, b.boxes)
             np.testing.assert_array_equal(ch_a, ch_b)
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            np.zeros((6, 96, 96), dtype=np.float64),
+            np.zeros((96, 96), dtype=np.float32),
+            np.zeros((6, 95, 96), dtype=np.float32),
+            np.zeros((6, 96, 97), dtype=np.float32),
+        ],
+        ids=["float64", "2-D", "height", "width"],
+    )
+    def test_bad_channel_stack_names_the_file(self, tmp_path, stack):
+        save_dataset(tmp_path / "ds", small_config(), count=2, seed=3)
+        ds = SceneDataset(tmp_path / "ds")
+        np.save(tmp_path / "ds" / "scene_00001.npy", stack)
+        assert ds.channels(0).shape == (6, 96, 96)
+        with pytest.raises(ValueError, match=r"scene_00001\.npy: channel stack is .*expected float32 \(C, 96, 96\)"):
+            ds.channels(1)
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -3,6 +3,7 @@ burn-in, checkpointing, and bit-exact resume."""
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,8 @@ from orientsemi.training import (
 )
 from orientsemi.weighting import PairGeometry, modulating_factor
 
-from tests._oracles import fd_gradient
+from orientsemi import training
+from tests._oracles import PerViewFloat32Trainer, fd_gradient
 
 
 def tiny_scene_config(**kwargs) -> SceneConfig:
@@ -562,7 +564,7 @@ class TestTrainingRuns:
         labeled, unlabeled = make_datasets(config)
         trainer = Trainer(config, labeled, unlabeled)
         state = init_state(config)
-        _, features = trainer.features_for("lab", 0, False)
+        _, features = trainer.features_for(0, False)
         features[0, 0] = np.nan  # poisons the cached feature matrix in place
         weights = state.student.weights.copy()
         momentum = state.momentum_buffer.copy()
@@ -572,6 +574,51 @@ class TestTrainingRuns:
         np.testing.assert_array_equal(state.student.weights, weights)
         np.testing.assert_array_equal(state.momentum_buffer, momentum)
         assert state.iteration == 0
+
+
+class TestFeaturePath:
+    """The float64 path: one cached matrix per labeled scene, flips
+    mirrored from it, unlabeled views read once per step, and the step's
+    grid-sized arrays in buffers the trainer owns."""
+
+    def test_same_bytes_as_per_view_float32_oracle(self, tmp_path, monkeypatch):
+        config = tiny_run_config(flip_probability=0.5)
+        labeled, unlabeled = make_datasets(config, n_labeled=3, n_unlabeled=3)
+        run_training(config, labeled, unlabeled, out_dir=tmp_path / "new", dump_pseudo=True)
+        monkeypatch.setattr(training, "Trainer", PerViewFloat32Trainer)
+        run_training(config, labeled, unlabeled, out_dir=tmp_path / "oracle", dump_pseudo=True)
+        for name in ("metrics.jsonl", "pseudo.jsonl", "checkpoint.bin"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+        views = [json.loads(line) for line in (tmp_path / "new" / "pseudo.jsonl").read_text().splitlines()]
+        assert {view["flip"] for view in views} == {False, True}
+        assert sum(view["n_pairs"] for view in views) > 0
+
+    @pytest.mark.parametrize("semi, budget", [(False, 1), (True, 2)], ids=["supervised", "semi"])
+    def test_warm_step_allocates_under_budget(self, semi, budget):
+        # Budget in float64 feature matrices of the grid.  Flipped labeled
+        # views run the mirror; the unlabeled view samples pairs and runs
+        # the consistency term.
+        config = tiny_run_config(flip_probability=1.0, labeled_batch=2, pre_nms_top=20, max_hard=20)
+        config.scene = tiny_scene_config(height=64, width=64, density=6e-4)
+        labeled, unlabeled = make_datasets(config, n_labeled=2, n_unlabeled=1)
+        trainer = Trainer(config, labeled, unlabeled)
+        state = init_state(config)
+        if semi:
+            state.teacher = state.student.copy()
+        unlabeled_idx = [0] if semi else []
+        for _ in range(2):
+            trainer.train_step(state, [0, 1], unlabeled_idx)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            record = trainer.train_step(state, [0, 1], unlabeled_idx)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (record["n_pairs"] > 0) == semi
+        feature_matrix = 8 * config.detector.num_features(config.scene.num_channels) * 64 * 64
+        assert peak < budget * feature_matrix
 
 
 class TestSplitChecks:
