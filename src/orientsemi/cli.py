@@ -179,7 +179,7 @@ def cmd_dump_pseudo(args) -> int:
     records = []
     for i in range(count):
         prediction = predict_dense(params, dataset.channels(i), config.detector)
-        pairs = sample_pairs(prediction, prediction, config, rng)
+        pairs = sample_pairs(prediction, config, rng)
         records.append(pseudo_record(state.iteration, dataset.scenes[i].scene_id, False, pairs))
     out = args.out or output_root() / "pseudo.jsonl"
     Path(out).parent.mkdir(parents=True, exist_ok=True)

@@ -49,14 +49,12 @@ def detect(
     for k in range(prediction.num_classes):
         scores = prediction.class_scores[:, :, k] * prediction.centerness
         iy, ix, flat_scores = top_cells(scores, scores >= score_floor, pre_nms_top)
-        if iy.size == 0:
-            continue
-        boxes = [prediction.box_at(int(y), int(x)) for y, x in zip(iy, ix)]
+        rows = prediction.boxes[iy, ix]
         # Per class only the best max_detections boxes can survive the
         # global cap, so the NMS scan may stop there: its kept list is
         # already in descending score order.
-        for i in rotated_nms(boxes, flat_scores, iou_threshold=nms_iou, max_keep=max_detections):
-            out.append(Detection(box=boxes[i], score=float(flat_scores[i]), class_index=k))
+        for i in rotated_nms(rows, flat_scores, iou_threshold=nms_iou, max_keep=max_detections):
+            out.append(Detection(box=RotatedBox(*rows[i].tolist()), score=float(flat_scores[i]), class_index=k))
     out.sort(key=lambda d: -d.score)
     return out[:max_detections]
 

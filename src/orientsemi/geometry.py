@@ -210,58 +210,61 @@ def iou_rotation_curve(aspect: float, angles: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _aabb_arrays(boxes: Sequence[RotatedBox]) -> np.ndarray:
-    out = np.empty((len(boxes), 4))
-    for i, box in enumerate(boxes):
-        out[i] = box.aabb()
-    return out
+# Pads the row bounds that prefilter NMS pairs: ``RotatedBox`` normalises
+# the angle again, so its exact bounds can lie an ulp outside a row's.  A
+# pair admitted only by the pad fails the exact test in
+# ``intersection_area``, so the pad never changes a result.
+AABB_PAD = 1e-9
 
 
 def rotated_nms(
-    boxes: Sequence[RotatedBox],
+    boxes: np.ndarray,
     scores: Sequence[float],
     iou_threshold: float = 0.1,
     max_keep: Optional[int] = None,
 ) -> list[int]:
-    """Greedy non-maximum suppression on rotated boxes.
+    """Greedy non-maximum suppression on (N, 5) rows of
+    ``(cx, cy, w, h, angle)``.
 
     Returns indices of kept boxes in descending score order.  Ties in
     score are broken by lower index, so the result is deterministic for
     any input ordering.  A box is suppressed when its IoU with an
-    already-kept box exceeds ``iou_threshold``.  ``max_keep`` stops the
-    scan once that many boxes are kept; because the greedy order never
-    revisits a decision, the truncated result equals the prefix of the
-    full result.
+    already-kept box exceeds ``iou_threshold``; only the boxes whose
+    axis-aligned bounds overlap the kept box's become a ``RotatedBox``
+    and reach ``rotated_iou``.  ``max_keep`` stops the scan once that
+    many boxes are kept; because the greedy order never revisits a
+    decision, the truncated result equals the prefix of the full result.
     """
-    n = len(boxes)
+    rows = np.asarray(boxes, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != 5:
+        raise ValueError(f"boxes must be (N, 5) rows, got shape {rows.shape}")
+    n = len(rows)
     if n != len(scores):
         raise ValueError(f"boxes and scores differ in length: {n} vs {len(scores)}")
-    if n == 0:
-        return []
     score_arr = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(score_arr)):
-        raise ValueError("scores must be finite")
+    if not (np.all(np.isfinite(score_arr)) and np.all(np.isfinite(rows)) and np.all(rows[:, 2:4] > 0.0)):
+        raise ValueError("scores and boxes must be finite, with positive sides")
     order = np.lexsort((np.arange(n), -score_arr))
-    aabbs = _aabb_arrays(boxes)
+    cos, sin = np.abs(np.cos(rows[:, 4])), np.abs(np.sin(rows[:, 4]))
+    extent = 0.5 * np.stack([rows[:, 2] * cos + rows[:, 3] * sin, rows[:, 2] * sin + rows[:, 3] * cos], axis=1)
+    lo = rows[:, :2] - extent - AABB_PAD
+    hi = rows[:, :2] + extent + AABB_PAD
     kept: list[int] = []
-    suppressed = np.zeros(n, dtype=bool)
-    for oi in range(n):
-        i = int(order[oi])
-        if suppressed[i]:
+    live = np.ones(n, dtype=bool)
+    for i in order.tolist():
+        if not live[i]:
             continue
         kept.append(i)
         if max_keep is not None and len(kept) >= max_keep:
             break
-        xi0, yi0, xi1, yi1 = aabbs[i]
-        for oj in range(oi + 1, n):
-            j = int(order[oj])
-            if suppressed[j]:
-                continue
-            xj0, yj0, xj1, yj1 = aabbs[j]
-            if xi0 >= xj1 or xj0 >= xi1 or yi0 >= yj1 or yj0 >= yi1:
-                continue
-            if rotated_iou(boxes[i], boxes[j]) > iou_threshold:
-                suppressed[j] = True
+        live[i] = False
+        near = np.flatnonzero(live & np.all(lo < hi[i], axis=1) & np.all(lo[i] < hi, axis=1))
+        if near.size == 0:
+            continue
+        box = RotatedBox(*rows[i].tolist())
+        for j in near.tolist():
+            if rotated_iou(box, RotatedBox(*rows[j].tolist())) > iou_threshold:
+                live[j] = False
     return kept
 
 

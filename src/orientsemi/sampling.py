@@ -63,10 +63,6 @@ class DensePrediction:
     def num_classes(self) -> int:
         return self.class_scores.shape[2]
 
-    def box_at(self, iy: int, ix: int) -> RotatedBox:
-        cx, cy, w, h, angle = self.boxes[iy, ix]
-        return RotatedBox(float(cx), float(cy), float(w), float(h), float(angle))
-
 
 @dataclass
 class SamplerConfig:
@@ -152,11 +148,9 @@ def candidate_detections(
     """
     max_scores = prediction.class_scores.max(axis=2)
     iy, ix, scores = top_cells(max_scores, max_scores >= config.score_floor, config.pre_nms_top)
-    if iy.size == 0:
-        return [], np.empty(0)
-    boxes = [prediction.box_at(int(y), int(x)) for y, x in zip(iy, ix)]
-    kept = rotated_nms(boxes, scores, iou_threshold=config.nms_iou)
-    return [boxes[i] for i in kept], scores[kept]
+    rows = prediction.boxes[iy, ix]
+    kept = rotated_nms(rows, scores, iou_threshold=config.nms_iou)
+    return [RotatedBox(*rows[i].tolist()) for i in kept], scores[kept]
 
 
 def sample_easy(
@@ -164,14 +158,15 @@ def sample_easy(
     kept_boxes: Sequence[RotatedBox],
     ratio: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample ``ceil(ratio * |pool|)`` cells inside each kept box.
 
     ``kept_boxes`` must be in descending score order: when boxes overlap,
     a cell belongs to the pool of the first (higher-scoring) box that
     covers it, so pools are disjoint and sampling is without replacement.
     Every box with a non-empty pool contributes at least one position.
-    Returns ``(iy, ix)`` arrays sorted per box for deterministic layout.
+    Returns ``(iy, ix)`` arrays sorted per box for deterministic layout,
+    and the (H, W) mask of every cell inside a kept box.
     """
     height, width = prediction.grid_shape
     claimed = np.zeros((height, width), dtype=bool)
@@ -192,33 +187,26 @@ def sample_easy(
         out_iy.append(pool_iy[picked])
         out_ix.append(pool_ix[picked])
     if not out_iy:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(out_iy), np.concatenate(out_ix)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), claimed
+    return np.concatenate(out_iy), np.concatenate(out_ix), claimed
 
 
 def mine_hard(
     prediction: DensePrediction,
-    kept_boxes: Sequence[RotatedBox],
-    easy_iy: np.ndarray,
-    easy_ix: np.ndarray,
+    foreground: np.ndarray,
     threshold: float,
     max_hard: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Background cells whose predicted IoU exceeds the threshold.
 
-    Background means not inside any kept box; already-sampled positions
-    are excluded.  Results come back in row-major order.  ``max_hard``
+    Background means outside ``foreground``, the (H, W) mask of cells
+    inside kept boxes that :func:`sample_easy` returns, which holds every
+    easy position.  Results come back in row-major order.  ``max_hard``
     optionally keeps only the highest-predicted-IoU positions.
     """
-    height, width = prediction.grid_shape
-    foreground = np.zeros((height, width), dtype=bool)
-    for box in kept_boxes:
-        cell_iy, cell_ix = grid_cells_in_box(box, height, width)
-        foreground[cell_iy, cell_ix] = True
-    foreground[easy_iy, easy_ix] = True
     candidate = (prediction.predicted_iou > threshold) & ~foreground
     hard_iy, hard_ix, _ = top_cells(prediction.predicted_iou, candidate, max_hard)
-    return _row_major(hard_iy, hard_ix, width)
+    return _row_major(hard_iy, hard_ix, prediction.grid_shape[1])
 
 
 def _row_major(iy: np.ndarray, ix: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,10 +248,8 @@ def build_pairs(
     """
     _check_grids(teacher, student)
     kept_boxes, _ = candidate_detections(teacher, config)
-    easy_iy, easy_ix = sample_easy(teacher, kept_boxes, config.sample_ratio, rng)
-    hard_iy, hard_ix = mine_hard(
-        teacher, kept_boxes, easy_iy, easy_ix, config.hard_iou_threshold, config.max_hard
-    )
+    easy_iy, easy_ix, foreground = sample_easy(teacher, kept_boxes, config.sample_ratio, rng)
+    hard_iy, hard_ix = mine_hard(teacher, foreground, config.hard_iou_threshold, config.max_hard)
     iy = np.concatenate([easy_iy, hard_iy])
     ix = np.concatenate([easy_ix, hard_ix])
     provenance = np.concatenate(

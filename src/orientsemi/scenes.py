@@ -67,6 +67,14 @@ class SceneConfig:
             raise ValueError("need 1 <= aspect_min <= aspect_max")
         if self.long_side_min <= 0 or self.long_side_max < self.long_side_min:
             raise ValueError("invalid long-side range")
+        for name in ("noise_sigma", "crosstalk"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("amplitude", "sigma_frac", "max_attempts"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0.0 <= self.iou_cap <= 1.0:
+            raise ValueError(f"iou_cap must be in [0, 1], got {self.iou_cap}")
 
     @property
     def num_channels(self) -> int:

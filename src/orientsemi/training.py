@@ -471,14 +471,13 @@ def consistency_loss(
     return result.loss, grad, diag
 
 
-def sample_pairs(
-    teacher: DensePrediction, student: DensePrediction, config: RunConfig, rng: np.random.Generator
-) -> PseudoLabelSet:
+def sample_pairs(teacher: DensePrediction, config: RunConfig, rng: np.random.Generator) -> PseudoLabelSet:
     """Pair positions from the configured sampler: the dense SIDS sampler
-    or the top-k baseline (which draws nothing from ``rng``)."""
+    or the top-k baseline (which draws nothing from ``rng``).  Both read
+    the teacher only; the student's views share its grid."""
     if config.semi.sampler == "sids":
-        return build_pairs(teacher, student, config.sampler_config(), rng)
-    return topk_pairs(teacher, student, config.semi.topk, config.semi.score_floor)
+        return build_pairs(teacher, teacher, config.sampler_config(), rng)
+    return topk_pairs(teacher, teacher, config.semi.topk, config.semi.score_floor)
 
 
 def pseudo_record(iteration: int, scene_id: int, flip: bool, pairs: PseudoLabelSet) -> dict:
@@ -672,9 +671,7 @@ class Trainer:
                 teacher_raw = forward(state.teacher, weak_features, out=self._teacher_raw)
                 teacher_pred = decode_dense(state.teacher, teacher_raw, height, width, config.detector)
                 student_raw = forward(state.student, strong_features, out=self._student_raw)
-                student_pred = decode_dense(state.student, student_raw, height, width, config.detector)
-
-                pairs = sample_pairs(teacher_pred, student_pred, config, rng)
+                pairs = sample_pairs(teacher_pred, config, rng)
                 gaw_i, gaw_grad, _ = weighted_pair_loss(
                     state.student,
                     student_raw,
@@ -815,7 +812,8 @@ def load_checkpoint(path: Path) -> TrainState:
 
 def check_split(name: str, dataset, config: SceneConfig) -> None:
     """Raise ``ValueError`` if a scene of ``dataset`` does not fit the run:
-    its canvas differs from ``config`` or a class index is out of range."""
+    its canvas differs from ``config``, a class index is out of range, or
+    the first scene's channel count differs."""
     for scene in dataset.scenes:
         for side in ("height", "width"):
             if getattr(scene, side) != getattr(config, side):
@@ -829,6 +827,11 @@ def check_split(name: str, dataset, config: SceneConfig) -> None:
                 f"{name} split: scene {scene.scene_id} has class index {bad[0]}, "
                 f"but scene.num_classes is {config.num_classes}"
             )
+    if dataset.scenes and dataset.channels(0).shape[0] != config.num_channels:
+        raise ValueError(
+            f"{name} split: scenes have {dataset.channels(0).shape[0]} channels, but "
+            f"scene.num_classes={config.num_classes} needs {config.num_channels}"
+        )
 
 
 def check_run(config: RunConfig, labeled, unlabeled=None) -> None:

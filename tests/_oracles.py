@@ -4,13 +4,15 @@ Each oracle deliberately avoids the code path it checks: IoU is estimated
 by Monte Carlo rasterisation, transport plans come from scipy's LP solver,
 gradients from central finite differences.  The slow forms that fast
 paths replaced (Sinkhorn with a plan per iteration, the broadcast cost
-matrix, the per-channel blur, the float32 feature cache per scene view)
-are kept here, and the fast paths must match them bit for bit.
+matrix, the per-channel blur, the float32 feature cache per scene view,
+NMS over a list of box objects) are kept here, and the fast paths must
+match them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -18,7 +20,7 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from orientsemi.detector import extract_features
-from orientsemi.geometry import RotatedBox
+from orientsemi.geometry import RotatedBox, rotated_iou
 from orientsemi.scenes import flip_scene, strong_augment
 from orientsemi.training import Trainer
 
@@ -344,3 +346,37 @@ class PerViewFloat32Trainer(Trainer):
             self.unlabeled.scenes[index], self.unlabeled.channels(index), rng, self.config.augment_config(), flip=flip
         )
         return scene, weak, extract_features(strong)
+
+
+def object_list_nms(
+    boxes: Sequence[RotatedBox],
+    scores: Sequence[float],
+    iou_threshold: float = 0.1,
+    max_keep: Optional[int] = None,
+) -> list[int]:
+    """Greedy rotated NMS over ``RotatedBox`` objects: a scalar loop over
+    every later live box, with each pair's axis-aligned bounds tested
+    before it is clipped."""
+    n = len(boxes)
+    order = np.lexsort((np.arange(n), -np.asarray(scores, dtype=float)))
+    aabbs = [box.aabb() for box in boxes]
+    kept: list[int] = []
+    suppressed = np.zeros(n, dtype=bool)
+    for oi in range(n):
+        i = int(order[oi])
+        if suppressed[i]:
+            continue
+        kept.append(i)
+        if max_keep is not None and len(kept) >= max_keep:
+            break
+        xi0, yi0, xi1, yi1 = aabbs[i]
+        for oj in range(oi + 1, n):
+            j = int(order[oj])
+            if suppressed[j]:
+                continue
+            xj0, yj0, xj1, yj1 = aabbs[j]
+            if xi0 >= xj1 or xj0 >= xi1 or yi0 >= yj1 or yj0 >= yi1:
+                continue
+            if rotated_iou(boxes[i], boxes[j]) > iou_threshold:
+                suppressed[j] = True
+    return kept

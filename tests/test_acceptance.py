@@ -195,7 +195,7 @@ def test_criterion_07_sampler_count_identity_and_threshold_monotonicity():
         expected = sum(
             math.ceil(ratio * grid_cells_in_box(box, height, width)[0].size) for box in boxes
         )
-        easy_iy, _ = sample_easy(empty_prediction(), boxes, ratio, rng)
+        easy_iy, _, _ = sample_easy(empty_prediction(), boxes, ratio, rng)
         assert easy_iy.size == expected, f"ratio {ratio}: {easy_iy.size} vs {expected}"
 
     for trial in range(100):
@@ -210,9 +210,9 @@ def test_criterion_07_sampler_count_identity_and_threshold_monotonicity():
             )
             for _ in range(int(rng.integers(0, 4)))
         ]
-        easy_iy, easy_ix = sample_easy(prediction, boxes, 0.25, rng)
-        low_iy, _ = mine_hard(prediction, boxes, easy_iy, easy_ix, threshold=0.1)
-        high_iy, _ = mine_hard(prediction, boxes, easy_iy, easy_ix, threshold=0.3)
+        _, _, foreground = sample_easy(prediction, boxes, 0.25, rng)
+        low_iy, _ = mine_hard(prediction, foreground, threshold=0.1)
+        high_iy, _ = mine_hard(prediction, foreground, threshold=0.3)
         assert high_iy.size <= low_iy.size, (
             f"trial {trial}: raising the threshold mined more ({high_iy.size} > {low_iy.size})"
         )

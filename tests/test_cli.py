@@ -306,6 +306,23 @@ class TestErrorPath:
         assert "has height 24, but scene.height is 32" in errors[-1]["message"]
         assert not out.exists() or not any(out.iterdir())
 
+    def test_split_with_other_channel_count_leaves_out_empty(self, tmp_path, capsys):
+        # Rendered with two classes (five channels), trained as three.
+        data = tmp_path / "two-class"
+        assert main(["gen-scenes", "--out", str(data), "--count", "2", "--seed", "3",
+                     "--set", "scene.num_classes=2"] + TINY_SCENE) == 0
+        capsys.readouterr()
+        out = tmp_path / "train"
+        code, lines, errors = run_cli(
+            ["train", "--labeled", str(data), "--unlabeled", str(data), "--out", str(out)] + TINY_TRAIN,
+            capsys,
+        )
+        assert code == 1
+        assert not lines
+        assert errors[-1]["error"] == "ValueError"
+        assert "labeled split: scenes have 5 channels, but scene.num_classes=3 needs 6" in errors[-1]["message"]
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestRecords:
     def test_write_read_round_trip(self, tmp_path):

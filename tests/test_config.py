@@ -46,6 +46,15 @@ OUT_OF_RANGE = [
     "semi.add_sigma=-0.05",
     "semi.mul_sigma=-0.1",
     "semi.blur_sigma=-0.6",
+    "scene.noise_sigma=-1",
+    "scene.crosstalk=-2",
+    "scene.amplitude=0",
+    "scene.amplitude=-1",
+    "scene.sigma_frac=0",
+    "scene.sigma_frac=-0.25",
+    "scene.iou_cap=-0.1",
+    "scene.iou_cap=1.5",
+    "scene.max_attempts=0",
 ]
 # The closed ends of those ranges load.
 IN_RANGE = [
@@ -59,6 +68,11 @@ IN_RANGE = [
     "semi.flip_probability=0",
     "semi.flip_probability=1",
     "semi.blur_sigma=0",
+    "scene.noise_sigma=0",
+    "scene.crosstalk=0",
+    "scene.iou_cap=0",
+    "scene.iou_cap=1",
+    "scene.max_attempts=1",
 ]
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orientsemi import geometry
+from orientsemi.detector import decode_angle
 from orientsemi.geometry import (
     RotatedBox,
     grid_cells_in_box,
@@ -15,7 +17,8 @@ from orientsemi.geometry import (
     rotated_nms,
 )
 
-from tests._oracles import mc_iou, random_box_pair
+from tests import _oracles
+from tests._oracles import mc_iou, object_list_nms, random_box_pair
 
 HALF_PI = math.pi / 2
 
@@ -186,45 +189,140 @@ class TestRotationCurve:
             iou_rotation_curve(0.5, [0.1])
 
 
+def as_rows(boxes_in) -> np.ndarray:
+    return np.array([box.as_array() for box in boxes_in]).reshape(-1, 5)
+
+
+# Rows on a coarse lattice, so draws hold identical, touching and nested
+# boxes; angles include the ends of the range, values outside it, and
+# arbitrary floats whose re-normalisation moves their last bits.
+nms_rows = st.lists(
+    st.tuples(
+        st.integers(0, 8).map(lambda v: v / 2),
+        st.integers(0, 8).map(lambda v: v / 2),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0, 6.0]),
+        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        st.one_of(
+            st.sampled_from([0.0, HALF_PI, -HALF_PI, math.pi / 4, 0.1, 3.0]),
+            st.floats(-math.pi, math.pi),
+        ),
+    ),
+    max_size=14,
+)
+
+
 class TestRotatedNms:
     def test_keeps_all_disjoint(self):
         boxes_in = [RotatedBox(10 * i, 0, 2, 1, 0.1 * i) for i in range(4)]
         scores = [0.9, 0.8, 0.7, 0.6]
-        assert rotated_nms(boxes_in, scores) == [0, 1, 2, 3]
+        assert rotated_nms(as_rows(boxes_in), scores) == [0, 1, 2, 3]
 
     def test_suppresses_overlap(self):
         a = RotatedBox(0, 0, 4, 2, 0.0)
         b = RotatedBox(0.5, 0, 4, 2, 0.05)
         c = RotatedBox(20, 0, 4, 2, 0.0)
-        kept = rotated_nms([a, b, c], [0.5, 0.9, 0.7])
+        kept = rotated_nms(as_rows([a, b, c]), [0.5, 0.9, 0.7])
         assert kept == [1, 2]
 
     def test_descending_score_order(self):
         boxes_in = [RotatedBox(10 * i, 0, 2, 1, 0) for i in range(4)]
         scores = [0.2, 0.9, 0.5, 0.7]
-        assert rotated_nms(boxes_in, scores) == [1, 3, 2, 0]
+        assert rotated_nms(as_rows(boxes_in), scores) == [1, 3, 2, 0]
 
     def test_score_tie_prefers_lower_index(self):
         a = RotatedBox(0, 0, 4, 2, 0.0)
         b = RotatedBox(0.1, 0, 4, 2, 0.0)
-        assert rotated_nms([a, b], [0.5, 0.5]) == [0]
-        assert rotated_nms([b, a], [0.5, 0.5]) == [0]
+        assert rotated_nms(as_rows([a, b]), [0.5, 0.5]) == [0]
+        assert rotated_nms(as_rows([b, a]), [0.5, 0.5]) == [0]
 
     def test_threshold_boundary_is_strict(self):
         # IoU exactly at the threshold is kept; suppression needs IoU > thr.
         a = RotatedBox(0, 0, 2, 1, 0)
         b = RotatedBox(1.0, 0, 2, 1, 0)  # IoU = 1/3 with a
-        kept = rotated_nms([a, b], [0.9, 0.8], iou_threshold=1.0 / 3.0)
+        kept = rotated_nms(as_rows([a, b]), [0.9, 0.8], iou_threshold=1.0 / 3.0)
         assert kept == [0, 1]
-        kept = rotated_nms([a, b], [0.9, 0.8], iou_threshold=0.33)
+        kept = rotated_nms(as_rows([a, b]), [0.9, 0.8], iou_threshold=0.33)
         assert kept == [0]
 
     def test_empty(self):
-        assert rotated_nms([], []) == []
+        assert rotated_nms(np.empty((0, 5)), []) == []
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            rotated_nms([RotatedBox(0, 0, 1, 1, 0)], [0.5, 0.6])
+            rotated_nms(as_rows([RotatedBox(0, 0, 1, 1, 0)]), [0.5, 0.6])
+
+    @pytest.mark.parametrize("rows", [np.zeros(5), np.zeros((2, 4))])
+    def test_rejects_shapes_other_than_rows(self, rows):
+        with pytest.raises(ValueError, match="rows"):
+            rotated_nms(rows, [0.5] * len(rows))
+
+    @pytest.mark.parametrize("bad", [(0, np.nan), (2, 0.0), (3, -1.0), (4, np.inf)])
+    def test_rejects_invalid_rows(self, bad):
+        rows = as_rows([RotatedBox(0, 0, 2, 1, 0), RotatedBox(5, 0, 2, 1, 0)])
+        rows[1, bad[0]] = bad[1]
+        with pytest.raises(ValueError):
+            rotated_nms(rows, [0.9, 0.8])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nms_rows,
+        st.data(),
+        st.sampled_from([0.0, 0.1, 1.0 / 3.0, 1.0]),
+    )
+    def test_matches_object_list_oracle(self, rows, data, threshold):
+        scores = data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.9]), min_size=len(rows), max_size=len(rows)))
+        max_keep = data.draw(st.one_of(st.none(), st.integers(1, len(rows) + 1)))
+        rows = np.array(rows, dtype=float).reshape(-1, 5)
+        expected = object_list_nms([RotatedBox(*row) for row in rows], scores, threshold, max_keep)
+        assert rotated_nms(rows, scores, threshold, max_keep) == expected
+
+    def test_prefilter_admits_every_pair_the_exact_bounds_admit(self, monkeypatch):
+        # Each pair is a decoded box and an axis-aligned box whose exact
+        # left edge lies an ulp inside the first one's exact right edge.
+        # A row's bounds can lie an ulp inside its box's exact bounds, so
+        # some of these pairs pass the row prefilter only by its pad.
+        rng = np.random.default_rng(3)
+        rows = []
+        for k in range(300):
+            a = [10.0, 40.0 * k, *np.exp(rng.uniform(0.0, 2.0, 2)), float(decode_angle(*rng.standard_normal(2)))]
+            right = RotatedBox(*a).aabb()[2]
+            cx = right + 1.0
+            while RotatedBox(cx, a[1], 2.0, 2.0, 0.0).aabb()[0] >= right:
+                cx = math.nextafter(cx, -math.inf)
+            rows += [a, [cx, a[1], 2.0, 2.0, 0.0]]
+        rows = np.array(rows)
+        scores = np.tile([0.9, 0.5], 300)
+        clipped = {"oracle": set(), "rows": set()}
+
+        def recorder(name):
+            def record(a, b):
+                clipped[name].add((a, b))
+                return rotated_iou(a, b)
+
+            return record
+
+        monkeypatch.setattr(_oracles, "rotated_iou", recorder("oracle"))
+        monkeypatch.setattr(geometry, "rotated_iou", recorder("rows"))
+        expected = object_list_nms([RotatedBox(*row) for row in rows], scores, 0.0)
+        assert rotated_nms(rows, scores, 0.0) == expected == list(range(0, 600, 2)) + list(range(1, 600, 2))
+        assert len(clipped["oracle"]) == 300 and clipped["oracle"] <= clipped["rows"]
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0 / 3.0, 1.0])
+    def test_matches_object_list_oracle_on_decoded_rows(self, threshold):
+        # Decoded angles are re-normalised by RotatedBox, which changes the
+        # last bits of many of them; the row bounds must still admit every
+        # pair that the boxes' exact bounds admit.
+        rng = np.random.default_rng(7)
+        n = 400
+        rows = np.empty((n, 5))
+        rows[:, :2] = rng.uniform(0.0, 24.0, (n, 2))
+        rows[:, 2:4] = np.exp(rng.uniform(0.0, 2.0, (n, 2)))
+        rows[:, 4] = decode_angle(rng.standard_normal(n), rng.standard_normal(n))
+        renormalised = sum(RotatedBox(*row).angle != row[4] for row in rows)
+        assert renormalised > 0
+        scores = rng.choice([0.3, 0.6, 0.9], n)
+        expected = object_list_nms([RotatedBox(*row) for row in rows], scores, threshold)
+        assert rotated_nms(rows, scores, threshold) == expected
 
 
 class TestGridCells:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from orientsemi import sampling
 from orientsemi.geometry import RotatedBox, grid_cells_in_box
 from orientsemi.sampling import (
     PROVENANCE_EASY,
@@ -30,6 +31,10 @@ def blank_prediction(height: int = 32, width: int = 32, num_classes: int = 3) ->
         centerness=np.zeros((height, width)),
         predicted_iou=np.zeros((height, width)),
     )
+
+
+def no_foreground(height: int = 32, width: int = 32) -> np.ndarray:
+    return np.zeros((height, width), dtype=bool)
 
 
 def paint_instance(pred: DensePrediction, box: RotatedBox, cls: int, score: float) -> None:
@@ -82,7 +87,7 @@ class TestSampleEasy:
             RotatedBox(8.0, 8.0, 6.0, 4.0, 0.0),
             RotatedBox(24.0, 24.0, 5.0, 3.0, 0.7),
         ]
-        iy, ix = sample_easy(pred, boxes, 0.25, rng)
+        iy, ix, _ = sample_easy(pred, boxes, 0.25, rng)
         expected = 0
         for box in boxes:
             cells = grid_cells_in_box(box, 32, 32)[0].size
@@ -92,13 +97,13 @@ class TestSampleEasy:
     def test_at_least_one_per_box(self):
         pred = blank_prediction()
         tiny = RotatedBox(10.5, 10.5, 1.2, 1.2, 0.0)
-        iy, ix = sample_easy(pred, [tiny], 0.25, np.random.default_rng(1))
+        iy, ix, _ = sample_easy(pred, [tiny], 0.25, np.random.default_rng(1))
         assert iy.size >= 1
 
     def test_positions_inside_their_box(self):
         pred = blank_prediction()
         box = RotatedBox(16.0, 12.0, 10.0, 4.0, 0.9)
-        iy, ix = sample_easy(pred, [box], 0.5, np.random.default_rng(2))
+        iy, ix, _ = sample_easy(pred, [box], 0.5, np.random.default_rng(2))
         c, s = math.cos(box.angle), math.sin(box.angle)
         for y, x in zip(iy, ix):
             dx, dy = x + 0.5 - box.cx, y + 0.5 - box.cy
@@ -112,7 +117,7 @@ class TestSampleEasy:
             RotatedBox(10.0, 10.0, 8.0, 6.0, 0.2),
             RotatedBox(13.0, 10.0, 8.0, 6.0, 0.2),  # overlaps the first
         ]
-        iy, ix = sample_easy(pred, boxes, 1.0, np.random.default_rng(3))
+        iy, ix, _ = sample_easy(pred, boxes, 1.0, np.random.default_rng(3))
         flat = iy * 32 + ix
         assert np.unique(flat).size == flat.size
 
@@ -122,12 +127,29 @@ class TestSampleEasy:
         pred = blank_prediction()
         a = RotatedBox(10.0, 10.0, 6.0, 6.0, 0.0)
         b = RotatedBox(12.0, 10.0, 6.0, 6.0, 0.0)
-        iy, ix = sample_easy(pred, [a, b], 1.0, np.random.default_rng(4))
+        iy, ix, _ = sample_easy(pred, [a, b], 1.0, np.random.default_rng(4))
         union_cells = set()
         for box in (a, b):
             cy, cx = grid_cells_in_box(box, 32, 32)
             union_cells |= set(zip(cy.tolist(), cx.tolist()))
         assert set(zip(iy.tolist(), ix.tolist())) == union_cells
+
+    def test_mask_is_union_of_kept_boxes(self):
+        # The second box lies inside the first, so its pool is empty; its
+        # cells are in the mask all the same.
+        pred = blank_prediction()
+        boxes = [
+            RotatedBox(10.0, 10.0, 9.0, 7.0, 0.2),
+            RotatedBox(10.0, 10.0, 3.0, 2.0, -0.4),
+            RotatedBox(13.0, 11.0, 8.0, 6.0, 1.1),
+            RotatedBox(26.0, 24.0, 5.0, 3.0, -1.3),
+        ]
+        iy, ix, mask = sample_easy(pred, boxes, 0.25, np.random.default_rng(8))
+        expected = no_foreground()
+        for box in boxes:
+            expected[grid_cells_in_box(box, 32, 32)] = True
+        assert mask.dtype == bool and np.array_equal(mask, expected)
+        assert mask[iy, ix].all()
 
     def test_deterministic_for_seed(self):
         pred = blank_prediction()
@@ -142,20 +164,21 @@ class TestMineHard:
         pred = blank_prediction()
         pred.predicted_iou[5, 5] = 0.3
         pred.predicted_iou[6, 6] = 0.05
-        iy, ix = mine_hard(pred, [], np.empty(0, int), np.empty(0, int), 0.1)
+        iy, ix = mine_hard(pred, no_foreground(), 0.1)
         assert list(zip(iy.tolist(), ix.tolist())) == [(5, 5)]
 
     def test_threshold_is_strict(self):
         pred = blank_prediction()
         pred.predicted_iou[5, 5] = 0.1
-        iy, _ = mine_hard(pred, [], np.empty(0, int), np.empty(0, int), 0.1)
+        iy, _ = mine_hard(pred, no_foreground(), 0.1)
         assert iy.size == 0
 
     def test_excludes_kept_box_interior(self):
         pred = blank_prediction()
         box = RotatedBox(8.0, 8.0, 6.0, 6.0, 0.0)
         pred.predicted_iou[...] = 0.5
-        iy, ix = mine_hard(pred, [box], np.empty(0, int), np.empty(0, int), 0.1)
+        _, _, foreground = sample_easy(pred, [box], 0.25, np.random.default_rng(0))
+        iy, ix = mine_hard(pred, foreground, 0.1)
         cells_y, cells_x = grid_cells_in_box(box, 32, 32)
         inside = set(zip(cells_y.tolist(), cells_x.tolist()))
         assert inside.isdisjoint(set(zip(iy.tolist(), ix.tolist())))
@@ -164,9 +187,9 @@ class TestMineHard:
     def test_excludes_easy_positions(self):
         pred = blank_prediction()
         pred.predicted_iou[...] = 0.5
-        easy_iy = np.array([3])
-        easy_ix = np.array([4])
-        iy, ix = mine_hard(pred, [], easy_iy, easy_ix, 0.1)
+        foreground = no_foreground()
+        foreground[3, 4] = True
+        iy, ix = mine_hard(pred, foreground, 0.1)
         assert (3, 4) not in set(zip(iy.tolist(), ix.tolist()))
 
     def test_monotone_in_threshold(self):
@@ -174,8 +197,8 @@ class TestMineHard:
         for _ in range(20):
             pred = blank_prediction()
             pred.predicted_iou[...] = rng.random((32, 32))
-            low = mine_hard(pred, [], np.empty(0, int), np.empty(0, int), 0.1)[0].size
-            high = mine_hard(pred, [], np.empty(0, int), np.empty(0, int), 0.3)[0].size
+            low = mine_hard(pred, no_foreground(), 0.1)[0].size
+            high = mine_hard(pred, no_foreground(), 0.3)[0].size
             assert high <= low
 
     def test_max_hard_keeps_best(self):
@@ -183,7 +206,7 @@ class TestMineHard:
         pred.predicted_iou[0, 0] = 0.9
         pred.predicted_iou[1, 1] = 0.5
         pred.predicted_iou[2, 2] = 0.7
-        iy, ix = mine_hard(pred, [], np.empty(0, int), np.empty(0, int), 0.1, max_hard=2)
+        iy, ix = mine_hard(pred, no_foreground(), 0.1, max_hard=2)
         got = set(zip(iy.tolist(), ix.tolist()))
         assert got == {(0, 0), (2, 2)}
 
@@ -237,6 +260,19 @@ class TestBuildPairs:
         xy = pairs.xy()
         assert np.allclose(xy[:, 0], pairs.ix + 0.5)
         assert np.allclose(xy[:, 1], pairs.iy + 0.5)
+
+    def test_walks_each_kept_box_once(self, monkeypatch):
+        teacher, student, _ = self.make_scene()
+        kept, _ = candidate_detections(teacher, SamplerConfig())
+        walked = []
+
+        def counting(box, height, width):
+            walked.append(box)
+            return grid_cells_in_box(box, height, width)
+
+        monkeypatch.setattr(sampling, "grid_cells_in_box", counting)
+        build_pairs(teacher, student, SamplerConfig(), np.random.default_rng(0))
+        assert len(kept) == 2 and walked == kept
 
     def test_grid_mismatch_rejected(self):
         teacher = blank_prediction(32, 32)

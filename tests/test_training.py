@@ -621,6 +621,32 @@ class TestFeaturePath:
         assert peak < budget * feature_matrix
 
 
+    def test_evicting_cache_gives_same_bytes(self, tmp_path, monkeypatch):
+        config = tiny_run_config(flip_probability=0.5, labeled_batch=2)
+        labeled, unlabeled = make_datasets(config, n_labeled=5, n_unlabeled=2)
+        run_training(config, labeled, unlabeled, out_dir=tmp_path / "unbounded")
+        matrix = 8 * config.detector.num_features(config.scene.num_channels) * 32 * 32
+        bound = int(2.5 * matrix)
+        monkeypatch.setattr(training, "_FEATURE_CACHE_BYTES", bound)
+        seen, sizes = set(), []
+
+        class CheckedTrainer(Trainer):
+            def features_for(self, index, flip):
+                result = super().features_for(index, flip)
+                seen.add(index)
+                sizes.append(len(self._features))
+                assert self._feature_bytes == sum(f.nbytes for f in self._features.values())
+                assert len(self._features) == 1 or self._feature_bytes <= bound
+                return result
+
+        monkeypatch.setattr(training, "Trainer", CheckedTrainer)
+        run_training(config, labeled, unlabeled, out_dir=tmp_path / "bounded")
+        assert max(sizes) == 2 and len(seen) == 5
+        assert (tmp_path / "bounded" / "metrics.jsonl").read_bytes() == (
+            tmp_path / "unbounded" / "metrics.jsonl"
+        ).read_bytes()
+
+
 class TestSplitChecks:
     """A split that does not fit the run fails before iteration 0."""
 
