@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from orientsemi.geometry import RotatedBox, rotated_iou, rotated_nms
+from orientsemi.geometry import RotatedBox, rotated_iou_pairs, rotated_nms
 from orientsemi.sampling import DensePrediction, top_cells
 
 FULL_THRESHOLDS = tuple(np.round(np.arange(0.5, 0.96, 0.05), 2))
@@ -59,34 +59,48 @@ def detect(
     return out[:max_detections]
 
 
+def _class_pairs(
+    detections: list[tuple[int, int, Detection]], gt_rows: np.ndarray, gt_scene: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (detection, ground truth in the same scene) pair of one
+    class and its IoU, from one ``rotated_iou_pairs`` call.
+
+    ``gt_scene`` must be ascending.  Pairs come in detection order, and
+    in ground-truth order within a detection.
+    """
+    det_rows = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h, d.box.angle) for _, _, d in detections])
+    det_scene = np.array([scene for scene, _, _ in detections], dtype=np.int64)
+    first = np.searchsorted(gt_scene, det_scene, side="left")
+    count = np.searchsorted(gt_scene, det_scene, side="right") - first
+    pair_det = np.repeat(np.arange(len(detections)), count)
+    pair_gt = np.arange(len(pair_det)) + np.repeat(first - (np.cumsum(count) - count), count)
+    iou = rotated_iou_pairs(det_rows.reshape(-1, 5)[pair_det], gt_rows[pair_gt])
+    return pair_det, pair_gt, iou
+
+
 def _match_class(
-    detections: list[tuple[int, int, Detection]],
-    gt_by_scene: dict[int, list[RotatedBox]],
-    iou_threshold: float,
+    pair_det: np.ndarray, pair_gt: np.ndarray, pair_iou: np.ndarray, n_detections: int, iou_threshold: float
 ) -> np.ndarray:
-    """Greedy matching for one class: detections must arrive sorted by
-    (-score, scene, index).  Returns a bool vector, one entry per
-    detection, True where it claimed a ground-truth box."""
-    taken: dict[int, np.ndarray] = {
-        scene: np.zeros(len(boxes), dtype=bool) for scene, boxes in gt_by_scene.items()
-    }
-    matched = np.zeros(len(detections), dtype=bool)
-    for slot, (scene, _, det) in enumerate(detections):
-        boxes = gt_by_scene.get(scene, [])
-        best_iou = -1.0
-        best = -1
-        for gi, gt in enumerate(boxes):
-            if taken[scene][gi]:
-                continue
-            iou = rotated_iou(det.box, gt)
-            # Claim the highest-overlap free box; equal overlaps resolve
-            # to the lowest ground-truth index via the strict compare.
-            if iou >= iou_threshold and iou > best_iou:
-                best_iou = iou
-                best = gi
-        if best >= 0:
-            taken[scene][best] = True
-            matched[slot] = True
+    """Greedy matching for one class, over the pairs of
+    :func:`_class_pairs` (detections sorted by (-score, scene, index)).
+    Returns a bool vector, one entry per detection, True where it
+    claimed a ground-truth box."""
+    matched = np.zeros(n_detections, dtype=bool)
+    taken: set[int] = set()
+    hit = pair_iou >= iou_threshold
+    current, best, best_iou = -1, -1, -1.0
+    for det, gt, iou in zip(pair_det[hit].tolist(), pair_gt[hit].tolist(), pair_iou[hit].tolist()):
+        if det != current:
+            if best >= 0:
+                taken.add(best)
+                matched[current] = True
+            current, best, best_iou = det, -1, -1.0
+        # Claim the highest-overlap free box; equal overlaps resolve
+        # to the lowest ground-truth index via the strict compare.
+        if gt not in taken and iou > best_iou:
+            best, best_iou = gt, iou
+    if best >= 0:
+        matched[current] = True
     return matched
 
 
@@ -141,21 +155,23 @@ def evaluate_map(
                 num_classes = max(num_classes, det.class_index + 1)
 
     by_class_dets: dict[int, list[tuple[int, int, Detection]]] = {k: [] for k in range(num_classes)}
-    by_class_gt: dict[int, dict[int, list[RotatedBox]]] = {k: {} for k in range(num_classes)}
-    n_gt = np.zeros(num_classes, dtype=np.int64)
+    by_class_gt: dict[int, list[tuple[int, RotatedBox]]] = {k: [] for k in range(num_classes)}
     for scene_idx, (dets, scene) in enumerate(zip(detections_per_scene, scenes)):
         for det_idx, det in enumerate(dets):
             by_class_dets[det.class_index].append((scene_idx, det_idx, det))
         for row, cls in zip(scene.boxes, scene.classes):
-            by_class_gt[int(cls)].setdefault(scene_idx, []).append(RotatedBox(*row))
-            n_gt[int(cls)] += 1
+            by_class_gt[int(cls)].append((scene_idx, RotatedBox(*row)))
+    n_gt = np.array([len(by_class_gt[k]) for k in range(num_classes)], dtype=np.int64)
 
     present = [k for k in range(num_classes) if n_gt[k] > 0]
     ap = np.full((len(thresholds), num_classes), np.nan)
     for k in range(num_classes):
         dets = sorted(by_class_dets[k], key=lambda item: (-item[2].score, item[0], item[1]))
+        gt_rows = np.array([(b.cx, b.cy, b.w, b.h, b.angle) for _, b in by_class_gt[k]]).reshape(-1, 5)
+        gt_scene = np.array([scene for scene, _ in by_class_gt[k]], dtype=np.int64)
+        pairs = _class_pairs(dets, gt_rows, gt_scene)
         for ti, threshold in enumerate(thresholds):
-            matched = _match_class(dets, by_class_gt[k], threshold)
+            matched = _match_class(*pairs, len(dets), threshold)
             ap[ti, k] = _interpolated_ap(matched, int(n_gt[k]))
 
     result: dict = {

@@ -132,7 +132,13 @@ def top_cells(
     iy, ix = np.nonzero(keep)
     values = scores[iy, ix]
     if top is not None and iy.size > top:
-        order = np.lexsort((iy * scores.shape[1] + ix, -values))[:top]
+        # ``np.nonzero`` lists cells in flat-index order.  Keep every
+        # value above the top-th largest, fill up with the cells tied at
+        # it in that order, and sort only the kept cells.
+        cut = np.partition(values, iy.size - top)[iy.size - top] if top else np.inf
+        above = np.flatnonzero(values > cut)
+        chosen = np.concatenate((above, np.flatnonzero(values == cut)[: top - above.size]))
+        order = chosen[np.lexsort((chosen, -values[chosen]))]
         iy, ix, values = iy[order], ix[order], values[order]
     return iy, ix, values
 

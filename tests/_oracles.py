@@ -5,8 +5,9 @@ by Monte Carlo rasterisation, transport plans come from scipy's LP solver,
 gradients from central finite differences.  The slow forms that fast
 paths replaced (Sinkhorn with a plan per iteration, the broadcast cost
 matrix, the per-channel blur, the float32 feature cache per scene view,
-NMS over a list of box objects) are kept here, and the fast paths must
-match them bit for bit.
+NMS over a list of box objects, the full sort of capped grid cells, mAP
+matching that clips each pair once per threshold) are kept here, and the
+fast paths must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from orientsemi.detector import extract_features
+from orientsemi.evaluation import _interpolated_ap
 from orientsemi.geometry import RotatedBox, rotated_iou
 from orientsemi.scenes import flip_scene, strong_augment
 from orientsemi.training import Trainer
@@ -380,3 +382,66 @@ def object_list_nms(
             if rotated_iou(boxes[i], boxes[j]) > iou_threshold:
                 suppressed[j] = True
     return kept
+
+
+def lexsort_top_cells(
+    scores: np.ndarray, keep: np.ndarray, top: Optional[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sampling.top_cells`` by a full sort of every kept cell on
+    (-score, flat index)."""
+    iy, ix = np.nonzero(keep)
+    values = scores[iy, ix]
+    if top is not None and iy.size > top:
+        order = np.lexsort((iy * scores.shape[1] + ix, -values))[:top]
+        iy, ix, values = iy[order], ix[order], values[order]
+    return iy, ix, values
+
+
+def scalar_match_class(
+    detections: list,
+    gt_by_scene: dict[int, list[RotatedBox]],
+    iou_threshold: float,
+) -> np.ndarray:
+    """Greedy matching for one class at one threshold, one ``rotated_iou``
+    per free ground-truth box of the detection's scene.  Detections are
+    ``(scene, index, Detection)`` sorted by (-score, scene, index)."""
+    taken: dict[int, np.ndarray] = {
+        scene: np.zeros(len(boxes), dtype=bool) for scene, boxes in gt_by_scene.items()
+    }
+    matched = np.zeros(len(detections), dtype=bool)
+    for slot, (scene, _, det) in enumerate(detections):
+        boxes = gt_by_scene.get(scene, [])
+        best_iou = -1.0
+        best = -1
+        for gi, gt in enumerate(boxes):
+            if taken[scene][gi]:
+                continue
+            iou = rotated_iou(det.box, gt)
+            if iou >= iou_threshold and iou > best_iou:
+                best_iou = iou
+                best = gi
+        if best >= 0:
+            taken[scene][best] = True
+            matched[slot] = True
+    return matched
+
+
+def scalar_per_class_ap(detections_per_scene, scenes, thresholds: Sequence[float]) -> dict:
+    """The ``per_class_ap`` field of ``evaluation.evaluate_map``'s report,
+    from :func:`scalar_match_class`."""
+    by_class_dets: dict[int, list] = {}
+    by_class_gt: dict[int, dict[int, list[RotatedBox]]] = {}
+    for scene_idx, (dets, scene) in enumerate(zip(detections_per_scene, scenes)):
+        for det_idx, det in enumerate(dets):
+            by_class_dets.setdefault(det.class_index, []).append((scene_idx, det_idx, det))
+        for row, cls in zip(scene.boxes, scene.classes):
+            by_class_gt.setdefault(int(cls), {}).setdefault(scene_idx, []).append(RotatedBox(*row))
+    out: dict = {}
+    for t in thresholds:
+        per_class = {}
+        for k in sorted(by_class_gt):
+            dets = sorted(by_class_dets.get(k, []), key=lambda item: (-item[2].score, item[0], item[1]))
+            n_gt = sum(len(boxes) for boxes in by_class_gt[k].values())
+            per_class[str(k)] = _interpolated_ap(scalar_match_class(dets, by_class_gt[k], t), n_gt)
+        out[f"{float(t):.2f}"] = per_class
+    return out

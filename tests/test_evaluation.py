@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from orientsemi.detector import DetectorConfig, ToyDetectorParams, predict_dense
+from orientsemi.detector import DetectorConfig, ToyDetectorParams, decode_angle, predict_dense
 from orientsemi.evaluation import (
+    FULL_THRESHOLDS,
     Detection,
     detect,
     evaluate_map,
@@ -13,6 +14,8 @@ from orientsemi.evaluation import (
 from orientsemi.geometry import RotatedBox
 from orientsemi.sampling import DensePrediction
 from orientsemi.scenes import InMemoryScenes, SceneConfig, SyntheticScene, generate_scene
+
+from tests._oracles import scalar_per_class_ap
 
 
 def make_scene(boxes, classes, size=32):
@@ -171,6 +174,39 @@ class TestEvaluateMap:
         again = evaluate_map(shuffled, scenes)
         assert baseline["map50"] == again["map50"]
         assert baseline["map50_95"] == again["map50_95"]
+
+    def test_matches_scalar_matching_on_decoded_detections(self):
+        # Detections near the ground truth with decoded angles, some
+        # exact copies and copies a half-turn apart, duplicates and false
+        # positives, scored from three values so many tie, across seven
+        # scenes and three classes; two ground-truth boxes share a place.
+        rng = np.random.default_rng(11)
+        config = SceneConfig(height=64, width=64, density=2e-3, noise_sigma=0.0)
+        scenes = [generate_scene(config, np.random.default_rng(i + 40))[0] for i in range(6)]
+        scenes[0] = make_scene(np.concatenate([scenes[0].boxes, scenes[0].boxes[:1]]), [*scenes[0].classes, 0], 64)
+        detections = []
+        for scene in scenes:
+            dets = []
+            for row, cls in zip(scene.boxes, scene.classes):
+                for _ in range(int(rng.integers(0, 4))):
+                    jitter = rng.normal(0.0, 0.4, 4)
+                    angle = float(decode_angle(np.cos(2 * row[4]) + rng.normal(0, 0.2), np.sin(2 * row[4]) + rng.normal(0, 0.2)))
+                    box = RotatedBox(row[0] + jitter[0], row[1] + jitter[1], row[2] * np.exp(0.1 * jitter[2]), row[3] * np.exp(0.1 * jitter[3]), angle)
+                    dets.append(Detection(box=box, score=float(rng.choice([0.3, 0.6, 0.9])), class_index=int(cls)))
+                copy = RotatedBox(row[0], row[1], row[2], row[3], row[4] + np.pi * rng.integers(0, 2))
+                dets.append(Detection(box=copy, score=float(rng.choice([0.3, 0.6, 0.9])), class_index=int(cls)))
+            for _ in range(5):
+                box = RotatedBox(*rng.uniform(5, 59, 2), *rng.uniform(2, 12, 2), rng.uniform(-3, 3))
+                dets.append(Detection(box=box, score=float(rng.choice([0.3, 0.6, 0.9])), class_index=int(rng.integers(0, 3))))
+            detections.append(dets)
+        # A detection with equal IoU (0.6) with two boxes must claim the
+        # lower-indexed one, which leaves the next detection unmatched.
+        scenes.append(make_scene([[10, 10, 8, 4, 0], [14, 10, 8, 4, 0]], [1, 1], 64))
+        detections.append([Detection(RotatedBox(12, 10, 8, 4, 0), 0.95, 1), Detection(RotatedBox(9, 10, 8, 4, 0), 0.95, 1)])
+        report = evaluate_map(detections, scenes, num_classes=3)
+        assert set(report["per_class_ap"]["0.50"]) == {"0", "1", "2"}
+        assert report["per_class_ap"] == scalar_per_class_ap(detections, scenes, FULL_THRESHOLDS)
+        assert 0.0 < report["map50_95"] < report["map50"] < 1.0
 
     def test_class_without_gt_excluded(self):
         gt = RotatedBox(10.0, 10.0, 6.0, 3.0, 0.0)

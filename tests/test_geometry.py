@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from orientsemi import geometry
 from orientsemi.detector import decode_angle
 from orientsemi.geometry import (
+    MIN_INTERSECTION_AREA,
     RotatedBox,
     grid_cells_in_box,
     intersection_area,
     iou_rotation_curve,
     normalize_angle,
+    normalize_angles,
     rotated_iou,
+    rotated_iou_pairs,
     rotated_nms,
 )
 
@@ -189,6 +192,110 @@ class TestRotationCurve:
             iou_rotation_curve(0.5, [0.1])
 
 
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def scalar_ious(a_boxes, b_boxes) -> np.ndarray:
+    return np.array([rotated_iou(a, b) for a, b in zip(a_boxes, b_boxes)], dtype=np.float64)
+
+
+class TestNormalizeAngles:
+    @given(st.lists(st.one_of(finite_angles, st.sampled_from([HALF_PI, -HALF_PI, math.pi, -math.pi, 0.0, -0.0]))))
+    def test_matches_scalar_bitwise(self, angles):
+        expected = np.array([normalize_angle(a) for a in angles], dtype=np.float64)
+        assert same_bits(normalize_angles(np.array(angles, dtype=np.float64)), expected)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            normalize_angles(np.array([0.0, np.nan]))
+
+
+def lattice_box(cx, cy, w, h, angle) -> RotatedBox:
+    return RotatedBox(cx / 2, cy / 2, w, h, angle)
+
+
+# Boxes on a coarse lattice, so pairs hold identical, touching, nested and
+# half-turn copies; plus arbitrary boxes with aspects down to 1e-4.
+lattice_boxes = st.builds(
+    lattice_box,
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.sampled_from([0.0, HALF_PI, -HALF_PI, math.pi / 4, math.pi, 3.0]),
+)
+thin_boxes = st.builds(
+    RotatedBox,
+    cx=st.floats(-2.0, 2.0),
+    cy=st.floats(-2.0, 2.0),
+    w=st.floats(1e-4, 1e-3),
+    h=st.floats(1.0, 4.0),
+    angle=st.floats(-math.pi, math.pi),
+)
+pair_boxes = st.one_of(lattice_boxes, boxes, thin_boxes)
+
+
+class TestRotatedIouPairs:
+    """``rotated_iou_pairs`` equals the scalar ``rotated_iou`` bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(pair_boxes, pair_boxes), max_size=12))
+    def test_matches_scalar_bitwise(self, pairs):
+        a_boxes = [a for a, _ in pairs]
+        b_boxes = [b for _, b in pairs]
+        a, b = as_rows(a_boxes), as_rows(b_boxes)
+        assert same_bits(rotated_iou_pairs(a, b), scalar_ious(a_boxes, b_boxes))
+        assert same_bits(rotated_iou_pairs(b, a), scalar_ious(b_boxes, a_boxes))
+
+    def test_random_pairs_bitwise(self):
+        rng = np.random.default_rng(5)
+        pairs = [random_box_pair(rng) for _ in range(3000)]
+        a_boxes = [a for a, _ in pairs]
+        b_boxes = [b for _, b in pairs]
+        expected = scalar_ious(a_boxes, b_boxes)
+        assert np.count_nonzero(expected) > 1500
+        assert same_bits(rotated_iou_pairs(as_rows(a_boxes), as_rows(b_boxes)), expected)
+
+    def test_special_pairs(self):
+        box = RotatedBox(1.0, 2.0, 4.0, 1.5, 0.3)
+        half_turn = RotatedBox(1.0, 2.0, 4.0, 1.5, 0.3 + math.pi)
+        pairs = [
+            (box, box),
+            (box, half_turn),
+            (RotatedBox(0, 0, 1, 1, 0), RotatedBox(1, 0, 1, 1, 0)),  # touching
+            (RotatedBox(0, 0, 4, 4, 0.2), RotatedBox(0.1, 0, 1, 1, 0.7)),  # nested
+            (RotatedBox(0, 0, 1, 1, 0), RotatedBox(1.0 - 1e-14, 0, 1, 1, 0)),  # sliver
+            (RotatedBox(0, 0, 1e-4, 3.0, 0.0), RotatedBox(0, 0, 1e-4, 3.0, 1e-3)),
+            (RotatedBox(0, 0, 2, 1, HALF_PI), RotatedBox(0, 0, 2, 1, -HALF_PI)),
+            (RotatedBox(0, 0, 2, 1, 0.0), RotatedBox(50, 0, 2, 1, 0.0)),
+        ]
+        a_boxes = [a for a, _ in pairs]
+        b_boxes = [b for _, b in pairs]
+        expected = scalar_ious(a_boxes, b_boxes)
+        got = rotated_iou_pairs(as_rows(a_boxes), as_rows(b_boxes))
+        assert same_bits(got, expected)
+        # A half-turn copy re-normalises to within an ulp of the angle.
+        assert got[0] == got[6] == 1.0 and got[1] == pytest.approx(1.0)
+        assert got[2] == got[4] == got[7] == 0.0
+        assert got[3] == pytest.approx(1.0 / 16.0)
+
+    def test_sliver_below_floor_is_zero(self):
+        a = RotatedBox(0, 0, 1, 1, 0)
+        b = RotatedBox(1.0 - 1e-13, 0, 1, 1, 0)
+        assert 0.0 < 1e-13 < MIN_INTERSECTION_AREA
+        assert rotated_iou_pairs(as_rows([a]), as_rows([b]))[0] == rotated_iou(a, b) == 0.0
+
+    def test_empty(self):
+        out = rotated_iou_pairs(np.empty((0, 5)), np.empty((0, 5)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("shapes", [((2, 5), (3, 5)), ((2, 4), (2, 4)), ((5,), (5,))])
+    def test_rejects_mismatched_shapes(self, shapes):
+        with pytest.raises(ValueError, match="rows"):
+            rotated_iou_pairs(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+
 def as_rows(boxes_in) -> np.ndarray:
     return np.array([box.as_array() for box in boxes_in]).reshape(-1, 5)
 
@@ -209,6 +316,16 @@ nms_rows = st.lists(
     ),
     max_size=14,
 )
+
+
+def decoded_rows(rng: np.random.Generator, n: int, extent: float = 24.0) -> np.ndarray:
+    """Rows as ``decode_dense`` writes them: angles from ``decode_angle``,
+    many of which ``RotatedBox`` re-normalises in their last bits."""
+    rows = np.empty((n, 5))
+    rows[:, :2] = rng.uniform(0.0, extent, (n, 2))
+    rows[:, 2:4] = np.exp(rng.uniform(0.0, 2.0, (n, 2)))
+    rows[:, 4] = decode_angle(rng.standard_normal(n), rng.standard_normal(n))
+    return rows
 
 
 class TestRotatedNms:
@@ -279,8 +396,10 @@ class TestRotatedNms:
     def test_prefilter_admits_every_pair_the_exact_bounds_admit(self, monkeypatch):
         # Each pair is a decoded box and an axis-aligned box whose exact
         # left edge lies an ulp inside the first one's exact right edge.
-        # A row's bounds can lie an ulp inside its box's exact bounds, so
-        # some of these pairs pass the row prefilter only by its pad.
+        # Bounds taken from the raw decoded angle can lie an ulp inside
+        # the box's exact bounds, so NMS must take them from the angle
+        # re-normalised as ``RotatedBox`` holds it.  The oracle records the
+        # pairs it clips, NMS the pairs its batched kernel receives.
         rng = np.random.default_rng(3)
         rows = []
         for k in range(300):
@@ -294,18 +413,48 @@ class TestRotatedNms:
         scores = np.tile([0.9, 0.5], 300)
         clipped = {"oracle": set(), "rows": set()}
 
-        def recorder(name):
-            def record(a, b):
-                clipped[name].add((a, b))
-                return rotated_iou(a, b)
+        def record_oracle(a, b):
+            clipped["oracle"].add((a, b))
+            return rotated_iou(a, b)
 
-            return record
+        def record_rows(a, b):
+            clipped["rows"].update((RotatedBox(*p), RotatedBox(*q)) for p, q in zip(a.tolist(), b.tolist()))
+            return rotated_iou_pairs(a, b)
 
-        monkeypatch.setattr(_oracles, "rotated_iou", recorder("oracle"))
-        monkeypatch.setattr(geometry, "rotated_iou", recorder("rows"))
+        monkeypatch.setattr(_oracles, "rotated_iou", record_oracle)
+        monkeypatch.setattr(geometry, "rotated_iou_pairs", record_rows)
         expected = object_list_nms([RotatedBox(*row) for row in rows], scores, 0.0)
         assert rotated_nms(rows, scores, 0.0) == expected == list(range(0, 600, 2)) + list(range(1, 600, 2))
         assert len(clipped["oracle"]) == 300 and clipped["oracle"] <= clipped["rows"]
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0 / 3.0])
+    def test_max_keep_on_decoded_rows_with_tied_scores(self, threshold):
+        rows = decoded_rows(np.random.default_rng(9), 160)
+        scores = np.random.default_rng(10).choice([0.5, 0.9], len(rows))
+        boxes_in = [RotatedBox(*row) for row in rows]
+        full = object_list_nms(boxes_in, scores, threshold)
+        assert len(full) > 3
+        for max_keep in (1, 2, len(full) // 2, len(full) - 1, len(full), len(full) + 5):
+            assert rotated_nms(rows, scores, threshold, max_keep) == full[:max_keep]
+
+    def test_max_keep_binds_partway_through_a_round(self, monkeypatch):
+        # Five disjoint boxes all keep in the first round; a sixth, last
+        # in rank, overlaps the best one and waits for it.  max_keep=3
+        # binds inside that first round, before any pair is clipped.
+        boxes_in = [RotatedBox(10.0 * k, 0.0, 2.0, 1.0, 0.1) for k in range(5)]
+        boxes_in.append(RotatedBox(0.2, 0.0, 2.0, 1.0, 0.1))
+        scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4]
+        calls = []
+
+        def record(a, b):
+            calls.append(len(a))
+            return rotated_iou_pairs(a, b)
+
+        monkeypatch.setattr(geometry, "rotated_iou_pairs", record)
+        assert rotated_nms(as_rows(boxes_in), scores, 0.1, 3) == [0, 1, 2]
+        assert calls == []
+        assert rotated_nms(as_rows(boxes_in), scores, 0.1) == [0, 1, 2, 3, 4]
+        assert calls == [1]
 
     @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0 / 3.0, 1.0])
     def test_matches_object_list_oracle_on_decoded_rows(self, threshold):
@@ -313,14 +462,10 @@ class TestRotatedNms:
         # last bits of many of them; the row bounds must still admit every
         # pair that the boxes' exact bounds admit.
         rng = np.random.default_rng(7)
-        n = 400
-        rows = np.empty((n, 5))
-        rows[:, :2] = rng.uniform(0.0, 24.0, (n, 2))
-        rows[:, 2:4] = np.exp(rng.uniform(0.0, 2.0, (n, 2)))
-        rows[:, 4] = decode_angle(rng.standard_normal(n), rng.standard_normal(n))
+        rows = decoded_rows(rng, 400)
         renormalised = sum(RotatedBox(*row).angle != row[4] for row in rows)
         assert renormalised > 0
-        scores = rng.choice([0.3, 0.6, 0.9], n)
+        scores = rng.choice([0.3, 0.6, 0.9], len(rows))
         expected = object_list_nms([RotatedBox(*row) for row in rows], scores, threshold)
         assert rotated_nms(rows, scores, threshold) == expected
 
@@ -356,3 +501,38 @@ class TestGridCells:
         box = RotatedBox(-5.0, -5.0, 2.0, 2.0, 0.3)
         iy, ix = grid_cells_in_box(box, 16, 16)
         assert len(iy) == 0
+
+
+def benchmark_pairs(m: int) -> tuple[np.ndarray, np.ndarray, list, list]:
+    rng = np.random.default_rng(m)
+    pairs = [random_box_pair(rng) for _ in range(m)]
+    a_boxes = [a for a, _ in pairs]
+    b_boxes = [b for _, b in pairs]
+    return as_rows(a_boxes), as_rows(b_boxes), a_boxes, b_boxes
+
+
+class TestKernelBenchmarks:
+    """Timings of the batched IoU against the scalar loop it replaces, at
+    the median batch of an evaluation NMS round (about 45 pairs once
+    bounds are tested) and at 2,000 pairs; and of NMS on about 220
+    decoded rows, the median evaluation call.  Short, so tier-1 barely
+    grows."""
+
+    @pytest.mark.parametrize("m", [45, 2000])
+    def test_rotated_iou_pairs(self, benchmark, m):
+        a, b, a_boxes, b_boxes = benchmark_pairs(m)
+        out = benchmark.pedantic(rotated_iou_pairs, args=(a, b), rounds=max(10, 4000 // m), warmup_rounds=1)
+        assert same_bits(out, scalar_ious(a_boxes, b_boxes))
+
+    @pytest.mark.parametrize("m", [45, 2000])
+    def test_scalar_loop(self, benchmark, m):
+        _, _, a_boxes, b_boxes = benchmark_pairs(m)
+        out = benchmark.pedantic(scalar_ious, args=(a_boxes, b_boxes), rounds=max(5, 1000 // m), warmup_rounds=1)
+        assert out.shape == (m,)
+
+    def test_rotated_nms_220_decoded_rows(self, benchmark):
+        rng = np.random.default_rng(220)
+        rows = decoded_rows(rng, 220, extent=48.0)
+        scores = rng.random(220)
+        kept = benchmark.pedantic(rotated_nms, args=(rows, scores, 0.1), rounds=30, warmup_rounds=1)
+        assert kept == object_list_nms([RotatedBox(*row) for row in rows], scores, 0.1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientsemi import sampling
 from orientsemi.geometry import RotatedBox, grid_cells_in_box
@@ -14,8 +16,11 @@ from orientsemi.sampling import (
     candidate_detections,
     mine_hard,
     sample_easy,
+    top_cells,
     topk_pairs,
 )
+
+from tests._oracles import lexsort_top_cells
 
 
 def blank_prediction(height: int = 32, width: int = 32, num_classes: int = 3) -> DensePrediction:
@@ -157,6 +162,48 @@ class TestSampleEasy:
         a = sample_easy(pred, [box], 0.25, np.random.default_rng(5))
         b = sample_easy(pred, [box], 0.25, np.random.default_rng(5))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def same_cells(got, expected) -> bool:
+    return all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+class TestTopCells:
+    """The partition cut picks the cells, in the order, of a full sort on
+    (-score, flat index)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.data(),
+    )
+    def test_matches_full_sort_under_heavy_ties(self, height, width, data):
+        # Scores from at most four values (zeros of both signs among
+        # them), so the cap lands inside a tie on most draws.
+        values = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=4))
+        picks = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=height * width, max_size=height * width))
+        scores = np.array([values[p] for p in picks]).reshape(height, width)
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=height * width, max_size=height * width)))
+        keep = keep.reshape(height, width)
+        top = data.draw(st.one_of(st.none(), st.integers(0, height * width + 1)))
+        assert same_cells(top_cells(scores, keep, top), lexsort_top_cells(scores, keep, top))
+
+    def test_cap_inside_a_tie(self):
+        scores = np.full((6, 6), 0.5)
+        scores[2, 3] = scores[5, 0] = 0.9
+        keep = np.ones((6, 6), dtype=bool)
+        iy, ix, values = top_cells(scores, keep, 5)
+        assert list(zip(iy.tolist(), ix.tolist())) == [(2, 3), (5, 0), (0, 0), (0, 1), (0, 2)]
+        assert values.tolist() == [0.9, 0.9, 0.5, 0.5, 0.5]
+        assert same_cells((iy, ix, values), lexsort_top_cells(scores, keep, 5))
+
+    def test_grid_sized_scores(self):
+        rng = np.random.default_rng(2)
+        scores = np.round(rng.random((96, 96)), 2)
+        keep = scores > 0.25
+        for top in (0, 1, 96, 2000, int(keep.sum()) - 1):
+            assert same_cells(top_cells(scores, keep, top), lexsort_top_cells(scores, keep, top))
 
 
 class TestMineHard:
