@@ -5,18 +5,21 @@ The package is organised around a small set of numerical contracts:
 - :mod:`orientsemi.geometry` -- rotated boxes, exact polygon IoU, rotated NMS.
 - :mod:`orientsemi.transport` -- entropic optimal transport (Sinkhorn) with
   dual potentials and an analytic gradient for the dual-form matching loss.
-- :mod:`orientsemi.weighting` -- the geometry-aware pair weight, in scalar
-  reference form and vectorised for training.
-- :mod:`orientsemi.consistency` -- noise-contrasted global consistency loss
-  built on the transport solver.
+- :mod:`orientsemi.weighting` -- the geometry-aware pair weight, one per
+  pair.
+- :mod:`orientsemi.consistency` -- mass distributions (one atom per pair)
+  and the noise-contrasted global consistency loss built on the transport
+  solver.
 - :mod:`orientsemi.sampling` -- dense pseudo-label selection (score floor and
-  top-N cap, rotated NMS, ratio sampling, hard-negative mining, top-k).
+  top-N cap, rotated NMS, ratio sampling, hard-negative mining, top-k) into
+  one flat pair record of the teacher's outputs at the sampled cells.
 - :mod:`orientsemi.scenes` -- synthetic oriented-scene generator and renderer.
 - :mod:`orientsemi.detector` -- a linear dense detector with closed-form
   gradients, small enough to train on one core.
 - :mod:`orientsemi.training` -- burn-in + EMA teacher-student loop, the
-  shared head-error block of both losses, sampler dispatch, pseudo-label
-  records and checkpoints.
+  two unsupervised losses (one signature: model, outputs, pairs, config),
+  the shared head-error block, sampler dispatch, pseudo-label records and
+  checkpoints.
 - :mod:`orientsemi.evaluation` -- rotated-box mAP.
 - :mod:`orientsemi.cli` -- command line entry points, the documented
   interface.

@@ -18,8 +18,7 @@ scene, so below the threshold the loss and gradient are exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,26 +33,23 @@ CLAMP_FLOOR = 1e-6
 class GlobalDistribution:
     """Unnormalised mass at sampled positions, one atom per pair.
 
-    ``values`` is ``exp(scores)`` for a freshly built distribution, but
-    perturbed copies break that relation, so it is not enforced here;
-    :func:`build_distribution` is the constructor that guarantees it.
+    ``values`` is ``exp(scores)`` as the training loss builds it; the
+    relation is not enforced here.
     """
 
     values: np.ndarray
     positions: np.ndarray
     scores: np.ndarray
-    class_index: np.ndarray
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
         self.positions = np.asarray(self.positions, dtype=np.float64)
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.class_index = np.asarray(self.class_index, dtype=np.int64)
         n = self.values.shape[0]
         if self.positions.shape != (n, 2):
             raise ValueError(f"positions must be ({n}, 2), got {self.positions.shape}")
-        if self.scores.shape != (n,) or self.class_index.shape != (n,):
-            raise ValueError("scores and class_index must match values in length")
+        if self.scores.shape != (n,):
+            raise ValueError("scores must match values in length")
         if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0.0):
             raise ValueError("values must be finite and strictly positive")
 
@@ -61,52 +57,9 @@ class GlobalDistribution:
         return self.values.shape[0]
 
 
-def build_distribution(
-    positions: np.ndarray,
-    score_rows: np.ndarray,
-    class_index: Optional[np.ndarray] = None,
-) -> GlobalDistribution:
-    """Build a distribution from per-position class-score rows.
-
-    The class of interest defaults to each row's argmax (ties resolve to
-    the lowest class index); pass ``class_index`` to pin it externally,
-    e.g. to evaluate the student at the teacher's classes.  Mass is
-    ``exp(score)`` at the chosen class.
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    score_rows = np.asarray(score_rows, dtype=np.float64)
-    if score_rows.ndim != 2 or score_rows.shape[0] != positions.shape[0]:
-        raise ValueError(
-            f"score_rows shape {score_rows.shape} does not match {positions.shape[0]} positions"
-        )
-    if class_index is None:
-        class_index = np.argmax(score_rows, axis=1)
-    else:
-        class_index = np.asarray(class_index, dtype=np.int64)
-        if np.any(class_index < 0) or np.any(class_index >= score_rows.shape[1]):
-            raise ValueError("class_index out of range")
-    scores = score_rows[np.arange(score_rows.shape[0]), class_index]
-    return GlobalDistribution(
-        values=np.exp(scores),
-        positions=positions,
-        scores=scores,
-        class_index=class_index,
-    )
-
-
-def perturb(dist: GlobalDistribution, beta: float, rng: np.random.Generator) -> GlobalDistribution:
-    """Additive Gaussian jitter on the mass values, clamped positive.
-
-    ``beta == 0`` returns the input distribution unchanged (same arrays,
-    no rng draw), so the noise-free path is bit-identical to no noise.
-    """
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if beta == 0.0:
-        return dist
-    noise = rng.standard_normal(len(dist))
-    values = np.maximum(dist.values + beta * noise, CLAMP_FLOOR)
-    return replace(dist, values=values)
+def perturb(values: np.ndarray, beta: float, rng: np.random.Generator) -> np.ndarray:
+    """Additive Gaussian jitter on a mass vector, clamped positive."""
+    return np.maximum(values + beta * rng.standard_normal(values.shape[0]), CLAMP_FLOOR)
 
 
 @dataclass
@@ -197,11 +150,11 @@ def ngc_loss(
         grad_noisy = clean.grad_student
         loss_plan = 0.0
     else:
-        teacher_noisy = perturb(teacher, config.beta, rng)
-        student_noisy = perturb(student, config.beta, rng)
+        teacher_noisy = perturb(teacher.values, config.beta, rng)
+        student_noisy = perturb(student.values, config.beta, rng)
         noisy = gc_loss(
-            teacher_noisy.values,
-            student_noisy.values,
+            teacher_noisy,
+            student_noisy,
             cost,
             epsilon=config.epsilon,
             max_iters=config.max_iters,
@@ -209,7 +162,7 @@ def ngc_loss(
         )
         # Chain rule through value -> clamp(value + noise): identity where
         # the clamp is inactive, zero where it pinned the mass.
-        unclamped = student_noisy.values > CLAMP_FLOOR
+        unclamped = student_noisy > CLAMP_FLOOR
         grad_noisy = np.where(unclamped, noisy.grad_student, 0.0)
         loss_plan = plan_divergence(clean.plan, noisy.plan)
 

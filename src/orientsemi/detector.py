@@ -157,10 +157,6 @@ class ToyDetectorParams:
     def copy(self) -> "ToyDetectorParams":
         return ToyDetectorParams(weights=self.weights.copy(), num_classes=self.num_classes)
 
-    @property
-    def num_params(self) -> int:
-        return self.weights.size
-
 
 def forward(params: ToyDetectorParams, features: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Raw head outputs (num_heads, N) for a feature matrix (F, N),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 _SCHEMA_DIR = Path(__file__).parent / "schemas"
 
@@ -46,12 +46,6 @@ def append_record(path: Path, record: dict) -> None:
         handle.write(canonical_line(record) + "\n")
 
 
-def read_records(path: Path) -> Iterator[dict]:
-    for line in Path(path).read_text().splitlines():
-        if line:
-            yield json.loads(line)
-
-
 def schema_path(name: str) -> Path:
     if name not in SCHEMA_NAMES:
         raise KeyError(f"unknown schema {name!r}; available: {SCHEMA_NAMES}")
@@ -68,15 +62,3 @@ def validate_record(record: dict, schema_name: str) -> None:
 
     jsonschema.validate(record, load_schema(schema_name))
 
-
-def validate_file(path: Path, schema_name: str) -> int:
-    """Validate every line of a JSONL file; returns the record count."""
-    import jsonschema
-
-    schema = load_schema(schema_name)
-    validator = jsonschema.Draft202012Validator(schema)
-    count = 0
-    for record in read_records(path):
-        validator.validate(record)
-        count += 1
-    return count

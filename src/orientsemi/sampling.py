@@ -86,30 +86,25 @@ class SamplerConfig:
 
 
 @dataclass
-class PackedItems:
-    """One model's dense outputs gathered at the sampled positions."""
-
-    boxes: np.ndarray
-    score_rows: np.ndarray
-    centerness: np.ndarray
-    class_index: np.ndarray
-
-
-@dataclass
 class PseudoLabelSet:
     """Teacher items at the grid positions where teacher and student are
     paired; the student side is read from its raw outputs at the same
     cells.
 
     ``provenance`` is 0 for ratio-sampled in-box positions and 1 for
-    mined hard background positions.  ``teacher.class_index`` is the
-    teacher's argmax class: the class at which the pair is compared.
+    mined hard background positions.  ``boxes``, ``score_rows`` and
+    ``centerness`` are the teacher's outputs at ``(iy, ix)``, and
+    ``class_index`` is its argmax class there: the class at which the
+    pair is compared.
     """
 
     iy: np.ndarray
     ix: np.ndarray
     provenance: np.ndarray
-    teacher: PackedItems
+    boxes: np.ndarray
+    score_rows: np.ndarray
+    centerness: np.ndarray
+    class_index: np.ndarray
 
     def __len__(self) -> int:
         return self.iy.shape[0]
@@ -220,18 +215,17 @@ def _row_major(iy: np.ndarray, ix: np.ndarray, width: int) -> tuple[np.ndarray, 
     return iy[order], ix[order]
 
 
-def _pack(prediction: DensePrediction, iy: np.ndarray, ix: np.ndarray, class_index: np.ndarray) -> PackedItems:
-    return PackedItems(
-        boxes=prediction.boxes[iy, ix].copy(),
-        score_rows=prediction.class_scores[iy, ix].copy(),
-        centerness=prediction.centerness[iy, ix].copy(),
-        class_index=class_index,
-    )
-
-
 def _assemble(teacher: DensePrediction, iy: np.ndarray, ix: np.ndarray, provenance: np.ndarray) -> PseudoLabelSet:
-    class_index = np.argmax(teacher.class_scores[iy, ix], axis=1)
-    return PseudoLabelSet(iy=iy, ix=ix, provenance=provenance, teacher=_pack(teacher, iy, ix, class_index))
+    score_rows = teacher.class_scores[iy, ix]
+    return PseudoLabelSet(
+        iy=iy,
+        ix=ix,
+        provenance=provenance,
+        boxes=teacher.boxes[iy, ix],
+        score_rows=score_rows,
+        centerness=teacher.centerness[iy, ix],
+        class_index=np.argmax(score_rows, axis=1),
+    )
 
 
 def _check_grids(teacher: DensePrediction, student: DensePrediction) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -101,9 +101,6 @@ class SyntheticScene:
 
     def __len__(self) -> int:
         return self.boxes.shape[0]
-
-    def gt_boxes(self) -> list[RotatedBox]:
-        return [RotatedBox(*row) for row in self.boxes]
 
 
 def _place_centers(config: SceneConfig, count: int, rng: np.random.Generator) -> tuple[np.ndarray, Optional[float]]:
@@ -410,8 +407,6 @@ class SceneDataset:
         index = self.root / "index.jsonl"
         if not index.exists():
             raise FileNotFoundError(f"no dataset at {self.root} (missing index.jsonl)")
-        manifest_path = self.root / "manifest.json"
-        self.manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
         self._records = [json.loads(line) for line in index.read_text().splitlines() if line]
         self.scenes = [
             SyntheticScene(

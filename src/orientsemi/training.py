@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from orientsemi.config import RunConfig
-from orientsemi.consistency import build_distribution, ngc_loss
+from orientsemi.consistency import GlobalDistribution, ngc_loss
 from orientsemi.detector import (
     DIRECTION_EPS,
     NUM_EXTRA_HEADS,
@@ -335,11 +335,7 @@ def weighted_pair_loss(
     raw: np.ndarray,
     features: np.ndarray,
     pairs: PseudoLabelSet,
-    width: int,
-    psi: float,
-    enable_gaw: bool,
-    min_side: float,
-    max_side: float,
+    config: RunConfig,
     omega_override: Optional[np.ndarray] = None,
 ) -> tuple[float, np.ndarray, dict]:
     """Geometry-weighted teacher-student pair loss and its gradient.
@@ -348,7 +344,8 @@ def weighted_pair_loss(
     probabilities, smooth-L1 on the box parameterisation (offsets, log
     sizes, unit direction pair) against the teacher's decoded box, and
     BCE on centerness; the mean over pairs is modulated by the
-    angle-gap/aspect weight.  The weight is recomputed from the current
+    angle-gap/aspect weight (``tab1.psi``; all ones when
+    ``semi.enable_gaw`` is off).  The weight is recomputed from the current
     student outputs each call but enters the gradient as a constant
     coefficient: it grades pair difficulty, it is not itself a training
     target (and it is unbounded above, so descending through it is
@@ -360,11 +357,11 @@ def weighted_pair_loss(
     if n_pairs == 0:
         return 0.0, np.zeros_like(params.weights), {"n_pairs": 0}
     k = params.num_classes
-    cols = pairs.iy * width + pairs.ix
-    t_boxes = pairs.teacher.boxes
+    cols = pairs.iy * config.scene.width + pairs.ix
+    t_boxes = pairs.boxes
 
     z_cls = raw[:k][:, cols]
-    t_cls = pairs.teacher.score_rows.T
+    t_cls = pairs.score_rows.T
     p_cls = expit(z_cls)
     cls_pair = binary_cross_entropy(z_cls, t_cls).sum(axis=0)
 
@@ -373,15 +370,15 @@ def weighted_pair_loss(
         sum(smooth_l1(e) for e in errs.values()) + smooth_l1(err_cos) + smooth_l1(err_sin)
     )
 
-    t_ctr = pairs.teacher.centerness
+    t_ctr = pairs.centerness
     ctr_pair = binary_cross_entropy(z_ctr, t_ctr)
 
     pair_total = cls_pair + reg_pair + ctr_pair
 
     if omega_override is not None:
         omega = np.asarray(omega_override, dtype=np.float64)
-    elif enable_gaw:
-        log_lo, log_hi = math.log(min_side), math.log(max_side)
+    elif config.semi.enable_gaw:
+        log_lo, log_hi = math.log(config.detector.min_side), math.log(config.detector.max_side)
         lw = np.clip(raw[k + OFF_LOGW, cols], log_lo, log_hi)
         lh = np.clip(raw[k + OFF_LOGH, cols], log_lo, log_hi)
         omega = pair_weights(
@@ -389,7 +386,7 @@ def weighted_pair_loss(
             decode_angle(c_raw, s_raw),
             np.maximum(t_boxes[:, 2], t_boxes[:, 3]) / np.minimum(t_boxes[:, 2], t_boxes[:, 3]),
             np.exp(np.abs(lw - lh)),
-            psi,
+            config.tab1.psi,
         )
     else:
         omega = np.ones(n_pairs)
@@ -423,7 +420,6 @@ def consistency_loss(
     raw: np.ndarray,
     features: np.ndarray,
     pairs: PseudoLabelSet,
-    width: int,
     config: RunConfig,
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray, dict]:
@@ -438,15 +434,16 @@ def consistency_loss(
     zero = np.zeros_like(params.weights)
     if n_pairs == 0:
         return 0.0, zero, {"gated": True, "loss_gc": 0.0, "loss_gc_noisy": 0.0, "loss_plan": 0.0}
-    k = params.num_classes
-    cols = pairs.iy * width + pairs.ix
-    cls_idx = pairs.teacher.class_index
+    cols = pairs.iy * config.scene.width + pairs.ix
+    cls_idx = pairs.class_index
+    rows = np.arange(n_pairs)
     xy = pairs.xy()
-    teacher_dist = build_distribution(xy, pairs.teacher.score_rows, cls_idx)
+    t_pair = pairs.score_rows[rows, cls_idx]
     # Student mass is exp(sigmoid(logit)) at the teacher's class.
-    student_dist = build_distribution(xy, expit(raw[:k][:, cols]).T, cls_idx)
-    p_pair = student_dist.scores
-    result = ngc_loss(teacher_dist, student_dist, config.ngc_config(), rng)
+    p_pair = expit(raw[cls_idx, cols])
+    student_mass = np.exp(p_pair)
+    teacher_dist = GlobalDistribution(np.exp(t_pair), xy, t_pair)
+    result = ngc_loss(teacher_dist, GlobalDistribution(student_mass, xy, p_pair), config.ngc_config(), rng)
     diag = {
         "gated": result.gated,
         "loss_gc": result.loss_gc,
@@ -464,9 +461,9 @@ def consistency_loss(
                 f"(tolerance {config.semi.ot_tolerance!r})"
             )
     # Chain: mass = exp(sigmoid(z)), d mass/dz = mass * p * (1 - p).
-    d_z = result.grad_values * student_dist.values * p_pair * (1.0 - p_pair)
+    d_z = result.grad_values * student_mass * p_pair * (1.0 - p_pair)
     d_cols = np.zeros((raw.shape[0], n_pairs))
-    d_cols[cls_idx, np.arange(n_pairs)] = d_z
+    d_cols[cls_idx, rows] = d_z
     grad = d_cols @ features.T[cols]
     return result.loss, grad, diag
 
@@ -672,23 +669,13 @@ class Trainer:
                 teacher_pred = decode_dense(state.teacher, teacher_raw, height, width, config.detector)
                 student_raw = forward(state.student, strong_features, out=self._student_raw)
                 pairs = sample_pairs(teacher_pred, config, rng)
-                gaw_i, gaw_grad, _ = weighted_pair_loss(
-                    state.student,
-                    student_raw,
-                    strong_features,
-                    pairs,
-                    width,
-                    config.tab1.psi,
-                    semi.enable_gaw,
-                    config.detector.min_side,
-                    config.detector.max_side,
-                )
+                gaw_i, gaw_grad, _ = weighted_pair_loss(state.student, student_raw, strong_features, pairs, config)
                 loss_gaw += w * gaw_i / batch
                 grad += (w / batch) * gaw_grad
 
                 if semi.enable_ngc:
                     ngc_i, ngc_grad, diag = consistency_loss(
-                        state.student, student_raw, strong_features, pairs, width, config, rng
+                        state.student, student_raw, strong_features, pairs, config, rng
                     )
                     loss_ngc += w * ngc_i / batch
                     loss_gc += w * diag["loss_gc"] / batch
@@ -811,9 +798,11 @@ def load_checkpoint(path: Path) -> TrainState:
 
 
 def check_split(name: str, dataset, config: SceneConfig) -> None:
-    """Raise ``ValueError`` if a scene of ``dataset`` does not fit the run:
-    its canvas differs from ``config``, a class index is out of range, or
-    the first scene's channel count differs."""
+    """Raise ``ValueError`` if ``dataset`` has no scenes, or a scene does
+    not fit the run: its canvas differs from ``config``, a class index is
+    out of range, or the first scene's channel count differs."""
+    if not dataset.scenes:
+        raise ValueError(f"{name} split has no scenes")
     for scene in dataset.scenes:
         for side in ("height", "width"):
             if getattr(scene, side) != getattr(config, side):
@@ -827,7 +816,7 @@ def check_split(name: str, dataset, config: SceneConfig) -> None:
                 f"{name} split: scene {scene.scene_id} has class index {bad[0]}, "
                 f"but scene.num_classes is {config.num_classes}"
             )
-    if dataset.scenes and dataset.channels(0).shape[0] != config.num_channels:
+    if dataset.channels(0).shape[0] != config.num_channels:
         raise ValueError(
             f"{name} split: scenes have {dataset.channels(0).shape[0]} channels, but "
             f"scene.num_classes={config.num_classes} needs {config.num_channels}"

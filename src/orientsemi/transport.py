@@ -81,7 +81,6 @@ class TransportSolution:
     dual_source: np.ndarray
     dual_target: np.ndarray
     cost_value: float
-    epsilon: float
     iterations: int
     converged: bool
     marginal_error: float
@@ -93,7 +92,8 @@ class TransportSolution:
 def sinkhorn_solve(
     problem: TransportProblem,
     epsilon: float = 0.1,
-    max_iters: int = 1000,
+    *,
+    max_iters: int,
     tolerance: float = 1e-6,
 ) -> TransportSolution:
     """Solve entropy-regularised transport by Sinkhorn iteration.
@@ -125,7 +125,6 @@ def _finish(
     plan: np.ndarray,
     dual_source: np.ndarray,
     dual_target: np.ndarray,
-    epsilon: float,
     iterations: int,
     converged: bool,
     marginal_error: float,
@@ -138,7 +137,6 @@ def _finish(
         dual_source=dual_source - shift,
         dual_target=dual_target + shift,
         cost_value=float(np.sum(problem.cost * plan)),
-        epsilon=epsilon,
         iterations=iterations,
         converged=converged,
         marginal_error=marginal_error,
@@ -177,7 +175,7 @@ def _sinkhorn_scaling(
     dual_source = epsilon * np.log(u)
     dual_target = epsilon * np.log(v)
     converged = err < tolerance
-    return _finish(problem, plan, dual_source, dual_target, epsilon, iterations, converged, err)
+    return _finish(problem, plan, dual_source, dual_target, iterations, converged, err)
 
 
 def _sinkhorn_log(
@@ -206,7 +204,7 @@ def _sinkhorn_log(
             err = _marginal_error(plan, source, target)
             if err < tolerance:
                 break
-    return _finish(problem, plan, f, g, epsilon, iterations, err < tolerance, err)
+    return _finish(problem, plan, f, g, iterations, err < tolerance, err)
 
 
 def build_cost_matrix(
@@ -266,7 +264,8 @@ def gc_loss(
     student_mass: np.ndarray,
     cost: np.ndarray,
     epsilon: float = 0.1,
-    max_iters: int = 1000,
+    *,
+    max_iters: int,
     tolerance: float = 1e-6,
 ) -> GcLoss:
     """Evaluate the dual transport objective and its student gradient.

@@ -7,12 +7,16 @@ paths replaced (Sinkhorn with a plan per iteration, the broadcast cost
 matrix, the per-channel blur, the float32 feature cache per scene view,
 NMS over a list of box objects, the full sort of capped grid cells, mAP
 matching that clips each pair once per threshold) are kept here, and the
-fast paths must match them bit for bit.
+fast paths must match them bit for bit.  The scalar closed form of the
+pair weight (:func:`modulating_factor`) is the reference for
+``weighting.pair_weights``, which groups the same formula differently and
+so agrees to rounding.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -203,6 +207,41 @@ def fd_gradient(fn, x: np.ndarray, step: float = 1e-6, indices=None) -> np.ndarr
         lo = fn(bumped)
         grad[slot] = (hi - lo) / (2.0 * step)
     return grad
+
+
+@dataclass(frozen=True)
+class PairGeometry:
+    """Orientation and aspect of one teacher-student prediction pair.
+
+    Angles are in radians; aspects are long side over short side and so
+    must be >= 1.
+    """
+
+    teacher_angle: float
+    student_angle: float
+    teacher_aspect: float
+    student_aspect: float
+
+    def __post_init__(self) -> None:
+        for name in ("teacher_angle", "student_angle", "teacher_aspect", "student_aspect"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.teacher_aspect < 1.0 or self.student_aspect < 1.0:
+            raise ValueError(
+                "aspects must be >= 1, got "
+                f"{self.teacher_aspect}, {self.student_aspect}"
+            )
+
+
+def modulating_factor(geometry: PairGeometry, psi: float = 50.0) -> float:
+    """Weight ``1 + psi * |angle gap| / pi * mean aspect`` of one pair, on
+    the raw angle gap.  Equal angles give weight 1 regardless of aspect."""
+    if psi < 0.0:
+        raise ValueError(f"psi must be >= 0, got {psi}")
+    gap = abs(geometry.teacher_angle - geometry.student_angle)
+    mean_aspect = 0.5 * (geometry.teacher_aspect + geometry.student_aspect)
+    return 1.0 + psi * (gap / math.pi) * mean_aspect
 
 
 def random_box_pair(rng: np.random.Generator) -> tuple[RotatedBox, RotatedBox]:

@@ -20,14 +20,15 @@ import pytest
 
 from orientsemi.cli import main as cli_main
 from orientsemi.config import RunConfig, apply_overrides, load_ini, save_ini
-from orientsemi.consistency import NgcConfig, build_distribution, ngc_loss
+from orientsemi.consistency import NgcConfig, ngc_loss
 from orientsemi.geometry import RotatedBox, grid_cells_in_box, iou_rotation_curve, rotated_iou
 from orientsemi.sampling import DensePrediction, mine_hard, sample_easy
 from orientsemi.training import ema_update, init_state
 from orientsemi.transport import TransportProblem, build_cost_matrix, gc_loss, sinkhorn_solve
-from orientsemi.weighting import PairGeometry, modulating_factor
+from orientsemi.weighting import pair_weights
 
 from tests._oracles import MonteCarloIoU, fd_gradient, random_box_pair, vertex_transport_cost
+from tests._support import class_distributions
 
 
 def test_criterion_01_polygon_iou_matches_monte_carlo_rasterization():
@@ -128,13 +129,14 @@ def test_criterion_04_matching_loss_gradient_matches_finite_differences():
 def test_criterion_05_pair_weight_hand_values_and_neutral_cases():
     """The pair weight reproduces hand-computed values to 1e-12 and is
     exactly 1 when disabled or when the orientations agree."""
-    square = PairGeometry(teacher_angle=math.pi / 2, student_angle=0.0, teacher_aspect=1.0, student_aspect=1.0)
-    assert modulating_factor(square, psi=50.0) == pytest.approx(26.0, abs=1e-12)
-    elongated = PairGeometry(teacher_angle=math.pi / 2, student_angle=0.0, teacher_aspect=4.0, student_aspect=4.0)
-    assert modulating_factor(elongated, psi=50.0) == pytest.approx(101.0, abs=1e-12)
-    assert modulating_factor(elongated, psi=0.0) == 1.0
-    agreeing = PairGeometry(teacher_angle=0.7, student_angle=0.7, teacher_aspect=8.0, student_aspect=3.0)
-    assert modulating_factor(agreeing, psi=50.0) == 1.0
+    def weight(teacher_angle, student_angle, teacher_aspect, student_aspect, psi):
+        args = (teacher_angle, student_angle, teacher_aspect, student_aspect)
+        return float(pair_weights(*(np.array([a]) for a in args), psi)[0])
+
+    assert weight(math.pi / 2, 0.0, 1.0, 1.0, psi=50.0) == pytest.approx(26.0, abs=1e-12)
+    assert weight(math.pi / 2, 0.0, 4.0, 4.0, psi=50.0) == pytest.approx(101.0, abs=1e-12)
+    assert weight(math.pi / 2, 0.0, 4.0, 4.0, psi=0.0) == 1.0
+    assert weight(0.7, 0.7, 8.0, 3.0, psi=50.0) == 1.0
 
 
 def test_criterion_06_consistency_gating_and_noise_free_reduction():
@@ -151,8 +153,7 @@ def test_criterion_06_consistency_gating_and_noise_free_reduction():
 
     n_gated = config.global_threshold - 1
     positions, rows = random_distribution(n_gated)
-    teacher = build_distribution(positions, rows)
-    student = build_distribution(positions, rng.random((n_gated, 3)), class_index=teacher.class_index)
+    teacher, student = class_distributions(positions, rows, rng.random((n_gated, 3)))
     gated = ngc_loss(teacher, student, config, rng)
     assert gated.gated
     assert gated.loss == 0.0
@@ -160,8 +161,7 @@ def test_criterion_06_consistency_gating_and_noise_free_reduction():
 
     n = 200
     positions, rows = random_distribution(n)
-    teacher = build_distribution(positions, rows)
-    student = build_distribution(positions, rng.random((n, 3)), class_index=teacher.class_index)
+    teacher, student = class_distributions(positions, rows, rng.random((n, 3)))
     noise_free = ngc_loss(teacher, student, NgcConfig(global_threshold=150, beta=0.0), rng)
     assert not noise_free.gated
     assert noise_free.loss_plan == 0.0

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from orientsemi.cli import main
-from orientsemi.records import read_records, validate_file, validate_record, write_records
+from orientsemi.records import validate_record, write_records
+
+from tests._support import read_records, validate_file
 
 
 def run_cli(argv, capsys):
@@ -321,6 +323,24 @@ class TestErrorPath:
         assert not lines
         assert errors[-1]["error"] == "ValueError"
         assert "labeled split: scenes have 5 channels, but scene.num_classes=3 needs 6" in errors[-1]["message"]
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("empty_split", ["labeled", "unlabeled"])
+    def test_empty_split_leaves_out_empty(self, datasets, tmp_path, capsys, empty_split):
+        empty = tmp_path / "empty"
+        assert main(["gen-scenes", "--out", str(empty), "--count", "0", "--seed", "3"] + TINY_SCENE) == 0
+        capsys.readouterr()
+        splits = {"labeled": datasets / "lab", "unlabeled": datasets / "unlab", empty_split: empty}
+        out = tmp_path / "train"
+        code, lines, errors = run_cli(
+            ["train", "--labeled", str(splits["labeled"]), "--unlabeled", str(splits["unlabeled"]),
+             "--out", str(out)] + TINY_TRAIN,
+            capsys,
+        )
+        assert code == 1
+        assert not lines
+        assert errors[-1]["error"] == "ValueError"
+        assert errors[-1]["message"] == f"{empty_split} split has no scenes"
         assert not out.exists() or not any(out.iterdir())
 
 

@@ -1,57 +1,90 @@
 import numpy as np
 import pytest
 
+from scipy.special import expit
+
+from orientsemi import training
+from orientsemi.config import RunConfig
 from orientsemi.consistency import (
     CLAMP_FLOOR,
     GlobalDistribution,
     NgcConfig,
-    build_distribution,
+    NgcResult,
     ngc_loss,
     perturb,
     plan_divergence,
 )
+from orientsemi.detector import NUM_EXTRA_HEADS, ToyDetectorParams
+from orientsemi.sampling import PROVENANCE_EASY, PseudoLabelSet
+from orientsemi.scenes import SceneConfig
 from orientsemi.transport import build_cost_matrix, gc_loss
 
 from tests._oracles import fd_gradient
-
-
-def make_distribution(rng: np.random.Generator, n: int) -> GlobalDistribution:
-    positions = rng.random((n, 2)) * 64.0
-    score_rows = rng.random((n, 3))
-    return build_distribution(positions, score_rows)
+from tests._support import class_distributions
 
 
 def paired(rng: np.random.Generator, n: int) -> tuple[GlobalDistribution, GlobalDistribution]:
     positions = rng.random((n, 2)) * 64.0
     teacher_rows = rng.random((n, 3))
     student_rows = np.clip(teacher_rows + 0.1 * rng.standard_normal((n, 3)), 0.0, 1.0)
-    teacher = build_distribution(positions, teacher_rows)
-    student = build_distribution(positions, student_rows, class_index=teacher.class_index)
-    return teacher, student
+    return class_distributions(positions, teacher_rows, student_rows)
+
+
+def built_distributions(score_rows: np.ndarray, class_index: np.ndarray, logits: np.ndarray, monkeypatch):
+    """The teacher and student distributions ``training.consistency_loss``
+    hands to :func:`ngc_loss` for pairs at cells (0, 0), (0, 1), ... of an
+    8 x 64 grid; ``logits`` are the student's (K, n) class logits there."""
+    k, n = logits.shape
+    config = RunConfig(scene=SceneConfig(height=8, width=64, num_classes=k))
+    raw = np.zeros((k + NUM_EXTRA_HEADS, 8 * 64))
+    raw[:k, :n] = logits
+    pairs = PseudoLabelSet(
+        iy=np.zeros(n, dtype=np.int64),
+        ix=np.arange(n),
+        provenance=np.full(n, PROVENANCE_EASY, dtype=np.int8),
+        boxes=np.ones((n, 5)),
+        score_rows=score_rows,
+        centerness=np.ones(n),
+        class_index=class_index,
+    )
+    seen = []
+
+    def capture(teacher, student, ngc_config, rng):
+        seen.append((teacher, student))
+        return NgcResult(0.0, np.zeros(n), True, 0.0, 0.0, 0.0, {})
+
+    monkeypatch.setattr(training, "ngc_loss", capture)
+    params = ToyDetectorParams(weights=np.zeros((k + NUM_EXTRA_HEADS, 3)), num_classes=k)
+    training.consistency_loss(params, raw, np.zeros((3, 8 * 64)), pairs, config, np.random.default_rng(0))
+    return seen[0]
 
 
 class TestBuildDistribution:
-    def test_values_are_exp_scores(self):
-        positions = np.array([[1.0, 2.0], [3.0, 4.0]])
+    """The two mass distributions ``consistency_loss`` builds from a pair
+    record, and the checks of :class:`GlobalDistribution`."""
+
+    def test_values_are_exp_scores(self, monkeypatch):
         rows = np.array([[0.9, 0.2, 0.1], [0.3, 0.3, 0.8]])
-        dist = build_distribution(positions, rows)
-        assert np.allclose(dist.values, np.exp([0.9, 0.8]))
-        assert dist.class_index.tolist() == [0, 2]
-        assert np.allclose(dist.scores, [0.9, 0.8])
+        logits = np.array([[0.5, -1.0], [2.0, 0.0], [-0.5, 1.5]])
+        teacher, student = built_distributions(rows, np.array([0, 2]), logits, monkeypatch)
+        np.testing.assert_array_equal(teacher.scores, [0.9, 0.8])
+        np.testing.assert_array_equal(teacher.values, np.exp([0.9, 0.8]))
+        np.testing.assert_array_equal(student.values, np.exp(student.scores))
+        np.testing.assert_array_equal(teacher.positions, [[0.5, 0.5], [1.5, 0.5]])
+        np.testing.assert_array_equal(student.positions, teacher.positions)
 
-    def test_argmax_tie_takes_lowest_class(self):
-        rows = np.array([[0.5, 0.5, 0.2]])
-        dist = build_distribution(np.zeros((1, 2)), rows)
-        assert dist.class_index.tolist() == [0]
-
-    def test_explicit_class_index(self):
-        rows = np.array([[0.9, 0.2], [0.3, 0.8]])
-        dist = build_distribution(np.zeros((2, 2)), rows, class_index=np.array([1, 0]))
-        assert np.allclose(dist.scores, [0.2, 0.3])
-
-    def test_rejects_out_of_range_class(self):
-        with pytest.raises(ValueError):
-            build_distribution(np.zeros((1, 2)), np.ones((1, 2)), class_index=np.array([5]))
+    def test_explicit_class_index(self, monkeypatch):
+        # Both sides are read at the pair's class, not at their own argmax,
+        # and the student's scores equal the sigmoid of every class logit
+        # gathered at that class afterwards, bit for bit.
+        rng = np.random.default_rng(3)
+        rows = rng.random((40, 3))
+        logits = rng.normal(0.0, 3.0, size=(3, 40))
+        class_index = rng.integers(0, 3, size=40)
+        teacher, student = built_distributions(rows, class_index, logits, monkeypatch)
+        at = np.arange(40)
+        np.testing.assert_array_equal(teacher.scores, rows[at, class_index])
+        np.testing.assert_array_equal(student.scores, expit(logits).T[at, class_index])
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
@@ -59,48 +92,32 @@ class TestBuildDistribution:
                 values=np.array([1.0, 0.0]),
                 positions=np.zeros((2, 2)),
                 scores=np.zeros(2),
-                class_index=np.zeros(2, dtype=int),
             )
 
 
 class TestPerturb:
-    def test_beta_zero_returns_input_unchanged(self):
-        dist = make_distribution(np.random.default_rng(0), 5)
-        rng = np.random.default_rng(1)
-        state_before = rng.bit_generator.state
-        out = perturb(dist, 0.0, rng)
-        assert out is dist
-        assert rng.bit_generator.state == state_before
-
     def test_noise_moves_only_values(self):
-        dist = make_distribution(np.random.default_rng(0), 50)
-        out = perturb(dist, 0.3, np.random.default_rng(2))
-        assert not np.allclose(out.values, dist.values)
-        assert out.positions is dist.positions
-        assert out.scores is dist.scores
-        assert out.class_index is dist.class_index
+        values = np.exp(np.random.default_rng(0).random(50))
+        before = values.copy()
+        out = perturb(values, 0.3, np.random.default_rng(2))
+        assert out.shape == values.shape
+        assert not np.allclose(out, values)
+        np.testing.assert_array_equal(values, before)
 
     def test_clamp_keeps_values_positive(self):
-        dist = GlobalDistribution(
-            values=np.full(100, 1e-5),
-            positions=np.random.default_rng(0).random((100, 2)),
-            scores=np.zeros(100),
-            class_index=np.zeros(100, dtype=int),
-        )
-        out = perturb(dist, 1.0, np.random.default_rng(3))
-        assert np.all(out.values >= CLAMP_FLOOR)
-        assert np.any(out.values == CLAMP_FLOOR)
-
-    def test_rejects_negative_beta(self):
-        dist = make_distribution(np.random.default_rng(0), 3)
-        with pytest.raises(ValueError):
-            perturb(dist, -0.1, np.random.default_rng(0))
+        out = perturb(np.full(100, 1e-5), 1.0, np.random.default_rng(3))
+        assert np.all(out >= CLAMP_FLOOR)
+        assert np.any(out == CLAMP_FLOOR)
 
 
 class TestNgcConfig:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             NgcConfig(epsilon=0.0)
+
+    def test_rejects_negative_beta(self):
+        with pytest.raises(ValueError):
+            NgcConfig(beta=-0.1)
 
 
 class TestGating:
@@ -129,7 +146,7 @@ class TestNoiseFreeReduction:
         config = NgcConfig(beta=0.0, global_threshold=0)
         result = ngc_loss(teacher, student, config, np.random.default_rng(0))
         cost = build_cost_matrix(teacher.positions, teacher.scores, student.positions, student.scores)
-        clean = gc_loss(teacher.values, student.values, cost, epsilon=config.epsilon)
+        clean = gc_loss(teacher.values, student.values, cost, epsilon=config.epsilon, max_iters=config.max_iters)
         assert result.loss_plan == 0.0
         assert abs(result.loss - 2.0 * clean.loss) < 1e-9
         assert np.allclose(result.grad_values, 2.0 * clean.grad_student)
@@ -179,14 +196,14 @@ class TestNgcLoss:
         noise_rng = np.random.default_rng(17)
         _ = noise_rng.standard_normal(12)  # teacher draw, discarded below
         eps_student = noise_rng.standard_normal(12)
-        teacher_noisy = perturb(teacher, beta, np.random.default_rng(17))
+        teacher_noisy = perturb(teacher.values, beta, np.random.default_rng(17))
 
         solver = dict(epsilon=0.1, max_iters=100_000, tolerance=1e-12)
 
         def dual_terms(values):
             clean = gc_loss(teacher.values, values, cost, **solver)
             noisy_vals = np.maximum(values + beta * eps_student, CLAMP_FLOOR)
-            noisy = gc_loss(teacher_noisy.values, noisy_vals, cost, **solver)
+            noisy = gc_loss(teacher_noisy, noisy_vals, cost, **solver)
             return clean.loss + noisy.loss
 
         config = NgcConfig(global_threshold=0, beta=beta, **solver)

@@ -121,7 +121,7 @@ class TestParams:
         cfg = DetectorConfig()
         params = ToyDetectorParams.initialize(6, 3, np.random.default_rng(0), cfg)
         assert params.weights.shape == (11, 22)
-        assert params.num_params == 242
+        assert params.weights.size == 242
         np.testing.assert_array_equal(params.weights[:3, -1], cfg.cls_bias_init)
         assert params.weights[3 + OFF_LOGW, -1] == pytest.approx(math.log(8.0))
         assert params.weights[3 + OFF_LOGH, -1] == pytest.approx(math.log(8.0))

@@ -288,9 +288,9 @@ class TestBuildPairs:
         pairs = build_pairs(teacher, student, SamplerConfig(), np.random.default_rng(0))
         # Teacher items sit at the paired cells; the student side is read
         # from its raw outputs at the same cells by the losses.
-        np.testing.assert_array_equal(pairs.teacher.score_rows, teacher.class_scores[pairs.iy, pairs.ix])
-        np.testing.assert_array_equal(pairs.teacher.boxes, teacher.boxes[pairs.iy, pairs.ix])
-        np.testing.assert_array_equal(pairs.teacher.centerness, teacher.centerness[pairs.iy, pairs.ix])
+        np.testing.assert_array_equal(pairs.score_rows, teacher.class_scores[pairs.iy, pairs.ix])
+        np.testing.assert_array_equal(pairs.boxes, teacher.boxes[pairs.iy, pairs.ix])
+        np.testing.assert_array_equal(pairs.centerness, teacher.centerness[pairs.iy, pairs.ix])
 
     def test_class_index_is_teacher_argmax(self):
         teacher, student, _ = self.make_scene()
@@ -299,7 +299,7 @@ class TestBuildPairs:
         student.class_scores[..., 1] = 0.99
         pairs = build_pairs(teacher, student, SamplerConfig(), np.random.default_rng(0))
         expected = np.argmax(teacher.class_scores[pairs.iy, pairs.ix], axis=1)
-        assert np.array_equal(pairs.teacher.class_index, expected)
+        assert np.array_equal(pairs.class_index, expected)
 
     def test_xy_centers(self):
         teacher, student, _ = self.make_scene()
@@ -363,3 +363,63 @@ class TestTopkPairs:
         teacher.class_scores[4, 4, 0] = 0.6
         pairs = topk_pairs(teacher, student, k=50)
         assert len(pairs) == 1
+
+
+def random_prediction(seed: int) -> DensePrediction:
+    """Distinct values in every cell and field, with two painted
+    instances so that the SIDS sampler keeps boxes and mines hard cells."""
+    rng = np.random.default_rng(seed)
+    pred = blank_prediction()
+    pred.class_scores[...] = 0.04 * rng.random(pred.class_scores.shape)
+    pred.boxes[...] += rng.random(pred.boxes.shape)
+    pred.centerness[...] = rng.random(pred.centerness.shape)
+    pred.predicted_iou[...] = 0.2 * rng.random(pred.predicted_iou.shape)
+    paint_instance(pred, RotatedBox(8.0, 8.0, 6.0, 4.0, 0.3), cls=0, score=0.9)
+    paint_instance(pred, RotatedBox(24.0, 22.0, 8.0, 3.0, -0.6), cls=2, score=0.7)
+    return pred
+
+
+class TestPairRecord:
+    """Each field of the pair record is the teacher's output at the paired
+    cells, in a fresh array: the prediction can be overwritten after
+    sampling without changing the record."""
+
+    SAMPLERS = {
+        "sids": lambda pred: build_pairs(pred, pred, SamplerConfig(max_hard=20), np.random.default_rng(0)),
+        "topk": lambda pred: topk_pairs(pred, pred, k=40),
+        "empty": lambda pred: build_pairs(
+            pred, pred, SamplerConfig(score_floor=1.0, hard_iou_threshold=1.0), np.random.default_rng(0)
+        ),
+    }
+
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_fields_are_teacher_outputs_at_the_cells(self, sampler):
+        pred = random_prediction(11)
+        pairs = self.SAMPLERS[sampler](pred)
+        assert (len(pairs) == 0) == (sampler == "empty")
+        if sampler == "sids":
+            assert set(pairs.provenance.tolist()) == {PROVENANCE_EASY, PROVENANCE_HARD}
+        iy, ix = pairs.iy, pairs.ix
+        fields = {
+            "boxes": (pairs.boxes, pred.boxes[iy, ix]),
+            "score_rows": (pairs.score_rows, pred.class_scores[iy, ix]),
+            "centerness": (pairs.centerness, pred.centerness[iy, ix]),
+            "class_index": (pairs.class_index, np.argmax(pred.class_scores[iy, ix], axis=1)),
+        }
+        for name, (got, expected) in fields.items():
+            assert got.shape == expected.shape, name
+            assert got.dtype == expected.dtype, name
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+        source = (pred.class_scores, pred.boxes, pred.centerness, pred.predicted_iou)
+        for name, (got, _) in fields.items():
+            assert not any(np.shares_memory(got, array) for array in source), name
+
+    def test_record_survives_overwriting_the_prediction(self):
+        pred = random_prediction(12)
+        pairs = self.SAMPLERS["sids"](pred)
+        before = {name: getattr(pairs, name).copy() for name in ("boxes", "score_rows", "centerness")}
+        pred.class_scores[...] = 0.0
+        pred.boxes[...] = 0.0
+        pred.centerness[...] = 0.0
+        for name, values in before.items():
+            np.testing.assert_array_equal(getattr(pairs, name), values, err_msg=name)

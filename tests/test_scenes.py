@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from orientsemi.geometry import rotated_iou
+from orientsemi.geometry import RotatedBox, rotated_iou
 from orientsemi.scenes import (
     AugmentConfig,
     SceneConfig,
@@ -41,7 +41,7 @@ class TestGenerateScene:
         cfg = small_config()
         scene, _ = generate_scene(cfg, np.random.default_rng(3))
         assert len(scene) >= 2
-        for box in scene.gt_boxes():
+        for box in [RotatedBox(*r) for r in scene.boxes]:
             x0, y0, x1, y1 = box.aabb()
             assert x0 >= 0.0 and y0 >= 0.0
             assert x1 <= cfg.width and y1 <= cfg.height
@@ -49,7 +49,7 @@ class TestGenerateScene:
     def test_pairwise_overlap_capped(self):
         cfg = small_config(density=1.2e-3)
         scene, _ = generate_scene(cfg, np.random.default_rng(11))
-        boxes = scene.gt_boxes()
+        boxes = [RotatedBox(*r) for r in scene.boxes]
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
                 assert rotated_iou(boxes[i], boxes[j]) <= cfg.iou_cap + 1e-9
@@ -96,7 +96,7 @@ class TestRenderScene:
     def test_peak_at_center_in_class_channel(self):
         cfg = small_config()
         scene, channels = generate_scene(cfg, np.random.default_rng(4))
-        box = scene.gt_boxes()[0]
+        box = RotatedBox(*scene.boxes[0])
         cls = int(scene.classes[0])
         iy, ix = int(box.cy), int(box.cx)
         assert channels[cls, iy, ix] > 0.5 * cfg.amplitude
@@ -105,7 +105,7 @@ class TestRenderScene:
         cfg = small_config(crosstalk=0.0)
         scene, channels = generate_scene(cfg, np.random.default_rng(9))
         k = cfg.num_classes
-        box = scene.gt_boxes()[0]
+        box = RotatedBox(*scene.boxes[0])
         iy, ix = int(box.cy), int(box.cx)
         lum = channels[k, iy, ix]
         # Isolated-enough blob: ratio of orientation channel to luminance
@@ -120,7 +120,7 @@ class TestRenderScene:
         scene, channels = generate_scene(cfg, rng)
         cls = int(scene.classes[0])
         other = (cls + 1) % cfg.num_classes
-        box = scene.gt_boxes()[0]
+        box = RotatedBox(*scene.boxes[0])
         iy, ix = int(box.cy), int(box.cx)
         assert channels[other, iy, ix] >= 0.15 * channels[cls, iy, ix] - 1e-6
 

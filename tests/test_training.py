@@ -36,10 +36,9 @@ from orientsemi.training import (
     supervised_loss,
     weighted_pair_loss,
 )
-from orientsemi.weighting import PairGeometry, modulating_factor
-
 from orientsemi import training
-from tests._oracles import PerViewFloat32Trainer, fd_gradient
+from tests._oracles import PairGeometry, PerViewFloat32Trainer, fd_gradient, modulating_factor
+from tests._support import mass_distribution
 
 
 def tiny_scene_config(**kwargs) -> SceneConfig:
@@ -273,31 +272,25 @@ def build_test_pairs(seed=0, grid=24):
 class TestWeightedPairLoss:
     def test_empty_pairs_are_zero(self):
         run, det, params, raw, features, pairs = build_test_pairs()
-        from orientsemi.sampling import PackedItems, PseudoLabelSet
+        from orientsemi.sampling import PseudoLabelSet
 
         empty = PseudoLabelSet(
             iy=np.empty(0, dtype=np.int64),
             ix=np.empty(0, dtype=np.int64),
             provenance=np.empty(0, dtype=np.int8),
-            teacher=PackedItems(
-                boxes=np.empty((0, 5)),
-                score_rows=np.empty((0, 3)),
-                centerness=np.empty(0),
-                class_index=np.empty(0, dtype=np.int64),
-            ),
+            boxes=np.empty((0, 5)),
+            score_rows=np.empty((0, 3)),
+            centerness=np.empty(0),
+            class_index=np.empty(0, dtype=np.int64),
         )
-        loss, grad, _ = weighted_pair_loss(
-            params, raw, features, empty, run.scene.width, 50.0, True, det.min_side, det.max_side
-        )
+        loss, grad, _ = weighted_pair_loss(params, raw, features, empty, run)
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_weights_match_reference_factor(self):
         run, det, params, raw, features, pairs = build_test_pairs(seed=2)
         assert len(pairs) > 0
-        _, _, parts = weighted_pair_loss(
-            params, raw, features, pairs, run.scene.width, 50.0, True, det.min_side, det.max_side
-        )
+        _, _, parts = weighted_pair_loss(params, raw, features, pairs, run)
         # Recompute the mean weight from the scalar reference on each pair.
         k = params.num_classes
         cols = pairs.iy * run.scene.width + pairs.ix
@@ -307,7 +300,7 @@ class TestWeightedPairLoss:
         log_lo, log_hi = math.log(det.min_side), math.log(det.max_side)
         lw = np.clip(raw[k + 2, cols], log_lo, log_hi)
         lh = np.clip(raw[k + 3, cols], log_lo, log_hi)
-        t_boxes = pairs.teacher.boxes
+        t_boxes = pairs.boxes
         factors = [
             modulating_factor(
                 PairGeometry(
@@ -325,17 +318,14 @@ class TestWeightedPairLoss:
 
     def test_disabled_weighting_is_plain_mean(self):
         run, det, params, raw, features, pairs = build_test_pairs(seed=4)
-        loss_on, _, parts_on = weighted_pair_loss(
-            params, raw, features, pairs, run.scene.width, 50.0, True, det.min_side, det.max_side
-        )
-        loss_off, _, parts_off = weighted_pair_loss(
-            params, raw, features, pairs, run.scene.width, 50.0, False, det.min_side, det.max_side
-        )
+        loss_on, _, parts_on = weighted_pair_loss(params, raw, features, pairs, run)
+        run.semi.enable_gaw = False
+        loss_off, _, parts_off = weighted_pair_loss(params, raw, features, pairs, run)
         assert parts_off["mean_weight"] == 1.0
         assert loss_on >= loss_off - 1e-12
 
     def _reference_omega(self, det, raw, pairs, width):
-        k = pairs.teacher.score_rows.shape[1]
+        k = pairs.score_rows.shape[1]
         cols = pairs.iy * width + pairs.ix
         c_raw = raw[k + 4, cols]
         s_raw = raw[k + 5, cols]
@@ -343,7 +333,7 @@ class TestWeightedPairLoss:
         log_lo, log_hi = math.log(det.min_side), math.log(det.max_side)
         lw = np.clip(raw[k + 2, cols], log_lo, log_hi)
         lh = np.clip(raw[k + 3, cols], log_lo, log_hi)
-        t = pairs.teacher.boxes
+        t = pairs.boxes
         gap = np.abs(t[:, 4] - student_angle)
         aspect_t = np.maximum(t[:, 2], t[:, 3]) / np.minimum(t[:, 2], t[:, 3])
         aspect_s = np.exp(np.abs(lw - lh))
@@ -354,30 +344,22 @@ class TestWeightedPairLoss:
         # each call but enters the gradient as a frozen coefficient.
         run, det, params, raw, features, pairs = build_test_pairs(seed=6)
         omega = self._reference_omega(det, raw, pairs, run.scene.width)
-        loss_live, grad_live, _ = weighted_pair_loss(
-            params, raw, features, pairs, run.scene.width, 50.0, True,
-            det.min_side, det.max_side,
-        )
-        loss_pin, grad_pin, _ = weighted_pair_loss(
-            params, raw, features, pairs, run.scene.width, 50.0, True,
-            det.min_side, det.max_side, omega_override=omega,
-        )
+        loss_live, grad_live, _ = weighted_pair_loss(params, raw, features, pairs, run)
+        loss_pin, grad_pin, _ = weighted_pair_loss(params, raw, features, pairs, run, omega_override=omega)
         assert loss_live == pytest.approx(loss_pin, rel=1e-15)
         np.testing.assert_array_equal(grad_live, grad_pin)
 
     @pytest.mark.parametrize("enable_gaw", [False, True])
     def test_gradient_matches_finite_differences(self, enable_gaw):
         run, det, params, raw, features, pairs = build_test_pairs(seed=6)
+        run.semi.enable_gaw = enable_gaw
         assert len(pairs) > 0
         # Pin the weights at the base point: the gradient contract treats
         # them as data, so the finite-difference probe must as well.
         omega = (
             self._reference_omega(det, raw, pairs, run.scene.width) if enable_gaw else None
         )
-        _, grad, _ = weighted_pair_loss(
-            params, raw, features, pairs, run.scene.width, 50.0, enable_gaw,
-            det.min_side, det.max_side,
-        )
+        _, grad, _ = weighted_pair_loss(params, raw, features, pairs, run)
         flat = params.weights.ravel()
 
         def loss_of(vec):
@@ -385,10 +367,7 @@ class TestWeightedPairLoss:
                 weights=vec.reshape(params.weights.shape), num_classes=params.num_classes
             )
             raw_p = forward(p, features)
-            return weighted_pair_loss(
-                p, raw_p, features, pairs, run.scene.width, 50.0, enable_gaw,
-                det.min_side, det.max_side, omega_override=omega,
-            )[0]
+            return weighted_pair_loss(p, raw_p, features, pairs, run, omega_override=omega)[0]
 
         picks = np.random.default_rng(9).choice(flat.size, size=20, replace=False)
         fd = fd_gradient(loss_of, flat, indices=picks, step=1e-6)
@@ -399,9 +378,7 @@ class TestConsistencyLoss:
     def test_gated_below_threshold(self):
         run, det, params, raw, features, pairs = build_test_pairs(seed=2)
         run.tab1.global_threshold = len(pairs) + 1
-        loss, grad, diag = consistency_loss(
-            params, raw, features, pairs, run.scene.width, run, np.random.default_rng(0)
-        )
+        loss, grad, diag = consistency_loss(params, raw, features, pairs, run, np.random.default_rng(0))
         assert diag["gated"] is True
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
@@ -417,8 +394,7 @@ class TestConsistencyLoss:
         n = 12
         positions = rng.uniform(0.0, 24.0, size=(n, 2))
         t_scores = rng.uniform(0.2, 0.9, size=n)
-        cls = rng.integers(0, 3, size=n)
-        teacher = GlobalDistribution(np.exp(t_scores), positions, t_scores, cls)
+        teacher = mass_distribution(positions, t_scores)
         # Tight solver tolerance: the envelope gradient is exact only at
         # the true fixed point, so solver slack shows up in the match.
         cfg = NgcConfig(beta=0.0, global_threshold=5, tolerance=1e-12, max_iters=20_000)
@@ -426,13 +402,13 @@ class TestConsistencyLoss:
         z0 = rng.normal(size=n)
 
         def loss_of(z):
-            student = GlobalDistribution(np.exp(expit(z)), positions, pinned_scores, cls)
+            student = GlobalDistribution(np.exp(expit(z)), positions, pinned_scores)
             return ngc_loss(teacher, student, cfg, np.random.default_rng(1)).loss
 
         p0 = expit(z0)
         result = ngc_loss(
             teacher,
-            GlobalDistribution(np.exp(p0), positions, pinned_scores, cls),
+            GlobalDistribution(np.exp(p0), positions, pinned_scores),
             cfg,
             np.random.default_rng(1),
         )
@@ -445,24 +421,21 @@ class TestConsistencyLoss:
         # The training-side wrapper must equal the composition of the
         # consistency term (independently verified) with the sigmoid/exp
         # chain and the per-pair scatter into the weight gradient.
-        from orientsemi.consistency import GlobalDistribution, ngc_loss
+        from orientsemi.consistency import ngc_loss
         from scipy.special import expit
 
         run, det, params, raw, features, pairs = build_test_pairs(seed=3)
         assert len(pairs) >= 5
         run.tab1.global_threshold = min(len(pairs), 5)
-        loss, grad, diag = consistency_loss(
-            params, raw, features, pairs, run.scene.width, run, np.random.default_rng(4)
-        )
+        loss, grad, diag = consistency_loss(params, raw, features, pairs, run, np.random.default_rng(4))
         assert diag["gated"] is False
         k = params.num_classes
         cols = pairs.iy * run.scene.width + pairs.ix
-        cidx = pairs.teacher.class_index
+        cidx = pairs.class_index
         rows = np.arange(len(pairs))
-        t_s = pairs.teacher.score_rows[rows, cidx]
-        teacher = GlobalDistribution(np.exp(t_s), pairs.xy(), t_s, cidx)
+        teacher = mass_distribution(pairs.xy(), pairs.score_rows[rows, cidx])
         p = expit(raw[cidx, cols])
-        student = GlobalDistribution(np.exp(p), pairs.xy(), p, cidx)
+        student = mass_distribution(pairs.xy(), p)
         result = ngc_loss(teacher, student, run.ngc_config(), np.random.default_rng(4))
         assert loss == pytest.approx(result.loss, abs=1e-15)
         d_z = result.grad_values * student.values * p * (1.0 - p)
@@ -670,6 +643,21 @@ class TestSplitChecks:
         message = r"^unlabeled split: scene \d+ has class index 3, but scene\.num_classes is 3$"
         with pytest.raises(ValueError, match=message):
             run_training(config, labeled, InMemoryScenes(items), out_dir=tmp_path)
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_empty_labeled_split_raises(self, tmp_path):
+        config = tiny_run_config()
+        _, unlabeled = make_datasets(config)
+        with pytest.raises(ValueError, match=r"^labeled split has no scenes$"):
+            run_training(config, InMemoryScenes([]), unlabeled, out_dir=tmp_path)
+        assert not (tmp_path / "metrics.jsonl").exists()
+
+    def test_empty_unlabeled_split_raises(self, tmp_path):
+        # Without the check the run would train supervised-only, silently.
+        config = tiny_run_config()
+        labeled, _ = make_datasets(config)
+        with pytest.raises(ValueError, match=r"^unlabeled split has no scenes$"):
+            run_training(config, labeled, InMemoryScenes([]), out_dir=tmp_path)
         assert not (tmp_path / "metrics.jsonl").exists()
 
     def test_config_mutated_in_code_is_checked(self):

@@ -53,9 +53,9 @@ class TestSinkhorn:
     def test_rejects_bad_epsilon(self):
         problem = random_problem(np.random.default_rng(0), 4)
         with pytest.raises(ValueError):
-            sinkhorn_solve(problem, epsilon=0.0)
+            sinkhorn_solve(problem, epsilon=0.0, max_iters=1000)
         with pytest.raises(ValueError):
-            sinkhorn_solve(problem, epsilon=-1.0)
+            sinkhorn_solve(problem, epsilon=-1.0, max_iters=1000)
 
     @pytest.mark.parametrize("epsilon", [1e-3, 0.01, 0.1, 1.0])
     @pytest.mark.parametrize("n", [2, 5, 32])
@@ -80,7 +80,7 @@ class TestSinkhorn:
 
     def test_plan_nonnegative(self):
         problem = random_problem(np.random.default_rng(1), 8)
-        sol = sinkhorn_solve(problem, epsilon=0.05)
+        sol = sinkhorn_solve(problem, epsilon=0.05, max_iters=1000)
         assert np.all(sol.plan >= 0.0)
 
     def test_matches_lp_at_small_epsilon(self):
@@ -103,7 +103,7 @@ class TestSinkhorn:
 
     def test_dual_gauge_mean_zero_source(self):
         problem = random_problem(np.random.default_rng(5), 7)
-        sol = sinkhorn_solve(problem, epsilon=0.1)
+        sol = sinkhorn_solve(problem, epsilon=0.1, max_iters=1000)
         assert abs(sol.dual_source.mean()) < 1e-12
 
     def test_duality_gap_is_entropy(self):
@@ -229,7 +229,7 @@ class TestKernelBenchmarks:
     def test_sinkhorn_solve_n270(self, benchmark):
         _, problem = traced_size_problem()
         sol = benchmark.pedantic(
-            sinkhorn_solve, args=(problem,), kwargs={"epsilon": 0.15}, rounds=30, warmup_rounds=1
+            sinkhorn_solve, args=(problem,), kwargs={"epsilon": 0.15, "max_iters": 1000}, rounds=30, warmup_rounds=1
         )
         assert sol.converged
 
@@ -281,7 +281,7 @@ class TestGcLoss:
     def test_rejects_nonpositive_mass(self):
         cost = np.random.default_rng(0).random((3, 3))
         with pytest.raises(ValueError):
-            gc_loss(np.array([1.0, 0.0, 1.0]), np.ones(3), cost)
+            gc_loss(np.array([1.0, 0.0, 1.0]), np.ones(3), cost, max_iters=1000)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(123)
@@ -305,7 +305,7 @@ class TestGcLoss:
         n = 6
         cost = rng.random((n, n))
         teacher, student = rng.random(n) + 0.2, rng.random(n) + 0.2
-        result = gc_loss(teacher, student, cost, epsilon=0.1)
+        result = gc_loss(teacher, student, cost, epsilon=0.1, max_iters=1000)
         assert abs(result.grad_student @ student) < 1e-9
 
     def test_identical_inputs_near_zero_gradient(self):
@@ -326,8 +326,8 @@ class TestGcLoss:
         n = 5
         cost = rng.random((n, n))
         teacher, student = rng.random(n) + 0.2, rng.random(n) + 0.2
-        a = gc_loss(teacher, student, cost, epsilon=0.1)
-        b = gc_loss(teacher * 3.0, student * 7.0, cost, epsilon=0.1)
+        a = gc_loss(teacher, student, cost, epsilon=0.1, max_iters=1000)
+        b = gc_loss(teacher * 3.0, student * 7.0, cost, epsilon=0.1, max_iters=1000)
         assert a.loss == pytest.approx(b.loss, abs=1e-12)
 
     @given(st.integers(2, 10), st.integers(0, 2**31 - 1))

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orientsemi.weighting import PairGeometry, modulating_factor, pair_weights
+from orientsemi.weighting import pair_weights
+
+from tests._oracles import PairGeometry, modulating_factor
 
 angles = st.floats(-math.pi / 2, math.pi / 2)
 aspects = st.floats(1.0, 8.0)
