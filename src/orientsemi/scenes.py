@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
@@ -25,7 +27,7 @@ from typing import Iterator, Optional
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from orientsemi.geometry import RotatedBox, normalize_angle, rotated_iou
+from orientsemi.geometry import RotatedBox, normalize_angle, normalize_angles, rotated_iou
 
 LAYOUTS = ("uniform", "grid-regular", "clustered")
 
@@ -157,7 +159,7 @@ def generate_scene(
         while not placed:
             if attempts >= config.max_attempts:
                 raise SceneGenerationError(
-                    f"gave up after {attempts} attempts with {len(accepted)}/{count} objects "
+                    f"scene {scene_id}: gave up after {attempts} attempts with {len(accepted)}/{count} objects "
                     f"placed (density {config.density}, layout {config.layout})"
                 )
             attempts += 1
@@ -232,11 +234,10 @@ def render_scene(scene: SyntheticScene, config: SceneConfig, rng: np.random.Gene
         if ix0 >= ix1 or iy0 >= iy1:
             continue
         xs = np.arange(ix0, ix1, dtype=np.float64) + 0.5 - box.cx
-        ys = np.arange(iy0, iy1, dtype=np.float64) + 0.5 - box.cy
-        gx, gy = np.meshgrid(xs, ys)
+        ys = (np.arange(iy0, iy1, dtype=np.float64) + 0.5 - box.cy)[:, None]
         c, s = math.cos(box.angle), math.sin(box.angle)
-        local_x = gx * c + gy * s
-        local_y = -gx * s + gy * c
+        local_x = xs * c + ys * s
+        local_y = -xs * s + ys * c
         sigma_x = config.sigma_frac * box.w
         sigma_y = config.sigma_frac * box.h
         blob = config.amplitude * np.exp(
@@ -249,7 +250,9 @@ def render_scene(scene: SyntheticScene, config: SceneConfig, rng: np.random.Gene
         cos_ch[iy0:iy1, ix0:ix1] += blob * math.cos(2.0 * box.angle)
         sin_ch[iy0:iy1, ix0:ix1] += blob * math.sin(2.0 * box.angle)
     if config.noise_sigma > 0.0:
-        channels += config.noise_sigma * rng.standard_normal(channels.shape)
+        noise = rng.standard_normal(channels.shape)
+        noise *= config.noise_sigma
+        channels += noise
     return channels.astype(np.float32)
 
 
@@ -259,7 +262,7 @@ def flip_ground_truth(scene: SyntheticScene) -> SyntheticScene:
     boxes = scene.boxes.copy()
     if boxes.size:
         boxes[:, 0] = scene.width - boxes[:, 0]
-        boxes[:, 4] = [normalize_angle(-a) for a in boxes[:, 4]]
+        boxes[:, 4] = normalize_angles(-boxes[:, 4])
     return SyntheticScene(
         height=scene.height,
         width=scene.width,
@@ -337,6 +340,84 @@ def generate_dataset(
         yield generate_scene(config, np.random.default_rng(child), scene_id=i)
 
 
+def _save_scenes(out_dir: Path, config: SceneConfig, seed: int, start: int, stop: int) -> list[str]:
+    """Generate scenes ``start`` to ``stop - 1`` of a dataset, save each
+    channel stack, and return their ``index.jsonl`` lines in scene order.
+
+    Scene i is driven by ``SeedSequence(seed).spawn(count)[i]``, the child
+    seed :func:`generate_dataset` gives it, built here without spawning
+    its predecessors.
+    """
+    lines = []
+    for i in range(start, stop):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        scene, channels = generate_scene(config, np.random.default_rng(child), scene_id=i)
+        name = f"scene_{i:05d}.npy"
+        np.save(out_dir / name, channels)
+        record = {
+            "scene_id": i,
+            "file": name,
+            "height": scene.height,
+            "width": scene.width,
+            "layout": scene.layout,
+            "boxes": [[float(v) for v in row] for row in scene.boxes],
+            "classes": [int(c) for c in scene.classes],
+        }
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return lines
+
+
+def _scene_worker(sender, out_dir: Path, config: SceneConfig, seed: int, start: int, stop: int) -> None:
+    """Worker process body: send :func:`_save_scenes`'s lines, or the
+    exception that stopped it, to the parent."""
+    try:
+        result = _save_scenes(out_dir, config, seed, start, stop)
+    except Exception as exc:  # raised again by the parent
+        result = exc
+    sender.send(result)
+
+
+def _save_in_workers(out_dir: Path, config: SceneConfig, seed: int, count: int, workers: int) -> list[str]:
+    """:func:`_save_scenes` split into ``workers`` contiguous ranges of
+    scenes: this process takes the first range and a forked worker
+    process each later one.  Returns the index lines in scene order;
+    every worker is joined before this returns or raises.
+
+    Forked workers start with the program already imported; scene
+    generation shares no state and holds no lock or thread.  The lines
+    are received on this thread, not on a pool's result thread, whose
+    malloc arena would keep their memory after the pool is gone.
+    """
+    context = multiprocessing.get_context("fork")
+    bounds = [count * k // workers for k in range(workers + 1)]
+    jobs = []
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_scene_worker, args=(sender, out_dir, config, seed, start, stop))
+            worker.start()
+            sender.close()
+            jobs.append((worker, receiver))
+        index_lines = _save_scenes(out_dir, config, seed, bounds[0], bounds[1])
+        for worker, receiver in jobs:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                raise RuntimeError(f"scene worker {worker.pid} exited without a result") from None
+            if isinstance(result, Exception):
+                raise result
+            index_lines += result
+    except BaseException:
+        for worker, _ in jobs:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in jobs:
+            worker.join()
+            receiver.close()
+    return index_lines
+
+
 def save_dataset(
     out_dir: Path,
     config: SceneConfig,
@@ -348,24 +429,27 @@ def save_dataset(
     Layout: ``scene_00000.npy`` float32 channel stacks, an
     ``index.jsonl`` with one record per scene (ground truth inline), and
     a ``manifest.json`` echoing the generating configuration.  All files
-    are byte-deterministic for a fixed (config, count, seed).
+    are byte-deterministic for a fixed (config, count, seed), whatever
+    the number of worker processes.
+
+    Scenes are independent, so they are generated by one process per
+    CPU this process may use (at most ``count``): this one and forked
+    workers, each taking a contiguous range of scene indices.  With one
+    CPU, one scene or a daemonic caller this process generates them all.
+    The index and the manifest are written last, once every scene is
+    saved: a failed scene, such as a :class:`SceneGenerationError`,
+    leaves the directory with neither.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    index_lines = []
-    for scene, channels in generate_dataset(config, count, seed):
-        name = f"scene_{scene.scene_id:05d}.npy"
-        np.save(out_dir / name, channels)
-        record = {
-            "scene_id": scene.scene_id,
-            "file": name,
-            "height": scene.height,
-            "width": scene.width,
-            "layout": scene.layout,
-            "boxes": [[float(v) for v in row] for row in scene.boxes],
-            "classes": [int(c) for c in scene.classes],
-        }
-        index_lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    # A split rewritten in place must not keep the index or manifest of
+    # an earlier one if this run fails.
+    for stale in ("index.jsonl", "manifest.json"):
+        (out_dir / stale).unlink(missing_ok=True)
+    # A daemonic process, such as a multiprocessing.Pool worker, may not
+    # start processes of its own.
+    workers = 1 if multiprocessing.current_process().daemon else len(os.sched_getaffinity(0))
+    index_lines = _save_in_workers(out_dir, config, seed, count, max(1, min(workers, count)))
     (out_dir / "index.jsonl").write_text("\n".join(index_lines) + ("\n" if index_lines else ""))
     manifest = {
         "kind": "scene-dataset",

@@ -5,12 +5,13 @@ by Monte Carlo rasterisation, transport plans come from scipy's LP solver,
 gradients from central finite differences.  The slow forms that fast
 paths replaced (Sinkhorn with a plan per iteration, the broadcast cost
 matrix, the per-channel blur, the float32 feature cache per scene view,
-NMS over a list of box objects, the full sort of capped grid cells, mAP
-matching that clips each pair once per threshold) are kept here, and the
-fast paths must match them bit for bit.  The scalar closed form of the
-pair weight (:func:`modulating_factor`) is the reference for
-``weighting.pair_weights``, which groups the same formula differently and
-so agrees to rounding.
+scene rendering over a meshgrid, NMS over a list of box objects, the
+full sort of capped grid cells, mAP matching that clips each pair once
+per threshold) are kept here, and the fast paths must match them bit
+for bit.  The scalar closed form of the pair weight
+(:func:`modulating_factor`) is the reference for
+``weighting.pair_weights``, which groups the same formula differently
+and so agrees to rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from scipy.special import logsumexp
 from orientsemi.detector import extract_features
 from orientsemi.evaluation import _interpolated_ap
 from orientsemi.geometry import RotatedBox, rotated_iou
-from orientsemi.scenes import flip_scene, strong_augment
+from orientsemi.scenes import SceneConfig, SyntheticScene, flip_scene, strong_augment
 from orientsemi.training import Trainer
 
 
@@ -387,6 +388,45 @@ class PerViewFloat32Trainer(Trainer):
             self.unlabeled.scenes[index], self.unlabeled.channels(index), rng, self.config.augment_config(), flip=flip
         )
         return scene, weak, extract_features(strong)
+
+
+def meshgrid_render_scene(scene: SyntheticScene, config: SceneConfig, rng: np.random.Generator) -> np.ndarray:
+    """``scenes.render_scene`` with each blob window built by
+    ``np.meshgrid`` and the noise scaled in a temporary."""
+    h, w = scene.height, scene.width
+    k = config.num_classes
+    channels = np.zeros((k + 3, h, w), dtype=np.float64)
+    lum, cos_ch, sin_ch = channels[k], channels[k + 1], channels[k + 2]
+    for row, cls in zip(scene.boxes, scene.classes):
+        box = RotatedBox(*row)
+        x0, y0, x1, y1 = box.aabb()
+        pad = config.sigma_frac * max(box.w, box.h)
+        ix0 = max(int(math.floor(x0 - pad)), 0)
+        ix1 = min(int(math.ceil(x1 + pad)), w)
+        iy0 = max(int(math.floor(y0 - pad)), 0)
+        iy1 = min(int(math.ceil(y1 + pad)), h)
+        if ix0 >= ix1 or iy0 >= iy1:
+            continue
+        xs = np.arange(ix0, ix1, dtype=np.float64) + 0.5 - box.cx
+        ys = np.arange(iy0, iy1, dtype=np.float64) + 0.5 - box.cy
+        gx, gy = np.meshgrid(xs, ys)
+        c, s = math.cos(box.angle), math.sin(box.angle)
+        local_x = gx * c + gy * s
+        local_y = -gx * s + gy * c
+        sigma_x = config.sigma_frac * box.w
+        sigma_y = config.sigma_frac * box.h
+        blob = config.amplitude * np.exp(
+            -0.5 * ((local_x / sigma_x) ** 2 + (local_y / sigma_y) ** 2)
+        )
+        channels[int(cls), iy0:iy1, ix0:ix1] += blob
+        if k > 1 and config.crosstalk > 0.0:
+            channels[(int(cls) + 1) % k, iy0:iy1, ix0:ix1] += config.crosstalk * blob
+        lum[iy0:iy1, ix0:ix1] += blob
+        cos_ch[iy0:iy1, ix0:ix1] += blob * math.cos(2.0 * box.angle)
+        sin_ch[iy0:iy1, ix0:ix1] += blob * math.sin(2.0 * box.angle)
+    if config.noise_sigma > 0.0:
+        channels += config.noise_sigma * rng.standard_normal(channels.shape)
+    return channels.astype(np.float32)
 
 
 def object_list_nms(

@@ -4,9 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from orientsemi.scenes import SceneConfig
+from orientsemi.scenes import SceneConfig, SceneGenerationError, generate_dataset
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark.py"
 
@@ -42,3 +43,15 @@ def test_same_request_reuses_the_split(run_benchmark, tmp_path, monkeypatch):
     monkeypatch.setattr(run_benchmark, "save_dataset", regenerate)
     dataset = run_benchmark.ensure_dataset(tmp_path, "labeled", small_config(layout="clustered", density=0.008), 2)
     assert len(dataset) == 2
+
+
+def test_failed_regeneration_leaves_no_manifest_to_reuse(run_benchmark, tmp_path):
+    config = small_config(layout="uniform", density=0.004)
+    run_benchmark.ensure_dataset(tmp_path, "test", config, 2)
+    with pytest.raises(SceneGenerationError):
+        run_benchmark.ensure_dataset(tmp_path, "test", small_config(density=0.05, max_attempts=1), 2)
+    assert not (tmp_path / "test" / "manifest.json").exists()
+    dataset = run_benchmark.ensure_dataset(tmp_path, "test", config, 2)
+    for i, (scene, channels) in enumerate(generate_dataset(config, 2, run_benchmark.DATASET_SEEDS["test"])):
+        np.testing.assert_array_equal(dataset.scenes[i].boxes, scene.boxes)
+        np.testing.assert_array_equal(dataset.channels(i), channels)

@@ -1,16 +1,23 @@
 """Scene generation, rendering, flips, augmentation, and dataset IO."""
 
+import io
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from orientsemi.geometry import RotatedBox, rotated_iou
+from orientsemi import scenes
+from orientsemi.geometry import RotatedBox, normalize_angle, rotated_iou
 from orientsemi.scenes import (
+    LAYOUTS,
     AugmentConfig,
     SceneConfig,
     SceneDataset,
     SceneGenerationError,
+    SyntheticScene,
+    flip_ground_truth,
     flip_scene,
     generate_dataset,
     generate_scene,
@@ -19,7 +26,7 @@ from orientsemi.scenes import (
     strong_augment,
 )
 
-from tests._oracles import per_channel_blur
+from tests._oracles import meshgrid_render_scene, per_channel_blur
 
 
 def small_config(**kwargs) -> SceneConfig:
@@ -72,8 +79,8 @@ class TestGenerateScene:
             iou_cap=0.01,
             max_attempts=2000,
         )
-        with pytest.raises(SceneGenerationError):
-            generate_scene(cfg, np.random.default_rng(0))
+        with pytest.raises(SceneGenerationError, match=r"^scene 7: gave up after 2000 attempts"):
+            generate_scene(cfg, np.random.default_rng(0), scene_id=7)
 
     def test_grid_regular_shares_base_angle(self):
         cfg = small_config(layout="grid-regular", density=8e-4)
@@ -124,6 +131,19 @@ class TestRenderScene:
         iy, ix = int(box.cy), int(box.cx)
         assert channels[other, iy, ix] >= 0.15 * channels[cls, iy, ix] - 1e-6
 
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matches_meshgrid_oracle_bitwise(self, layout, noise_sigma):
+        cfg = small_config(layout=layout, noise_sigma=noise_sigma, density=8e-4)
+        classes = set()
+        for seed in range(34):
+            scene, _ = generate_scene(cfg, np.random.default_rng(seed))
+            classes.update(scene.classes.tolist())
+            fast = render_scene(scene, cfg, np.random.default_rng(1000 + seed))
+            slow = meshgrid_render_scene(scene, cfg, np.random.default_rng(1000 + seed))
+            np.testing.assert_array_equal(fast.view(np.uint32), slow.view(np.uint32))
+        assert len(classes) > 1
+
     def test_noise_changes_output(self):
         cfg_clean = small_config(noise_sigma=0.0)
         scene, clean = generate_scene(cfg_clean, np.random.default_rng(8))
@@ -147,6 +167,18 @@ class TestFlip:
         flipped_scene, flipped_channels = flip_scene(scene, channels)
         rerendered = render_scene(flipped_scene, cfg, np.random.default_rng(0))
         np.testing.assert_allclose(flipped_channels, rerendered, atol=1e-4)
+
+    def test_ground_truth_angles_negate_at_the_branch_cut(self):
+        angles = [-math.pi / 2, math.pi / 2, 0.0, -0.0, math.nextafter(-math.pi / 2, 0.0), 1.2, -0.4]
+        boxes = np.array([[40.0, 30.0, 12.0, 4.0, a] for a in angles])
+        scene = SyntheticScene(96, 96, boxes, np.zeros(len(angles)), "uniform")
+        flipped = flip_ground_truth(scene).boxes
+        expected = np.array([normalize_angle(-a) for a in angles])
+        np.testing.assert_array_equal(flipped[:, 4].view(np.uint64), expected.view(np.uint64))
+        assert flipped[0, 4] == flipped[1, 4] == -math.pi / 2
+        assert flipped[2, 4] == 0.0
+        np.testing.assert_array_equal(flipped[:, 0], 96.0 - boxes[:, 0])
+        np.testing.assert_array_equal(flipped[:, 1:4], boxes[:, 1:4])
 
     def test_sin_channel_negated(self):
         cfg = small_config()
@@ -214,6 +246,10 @@ class TestAugment:
         assert out.shape == channels.shape
 
 
+def _save_small_split(out_dir):
+    save_dataset(out_dir, small_config(), count=3, seed=4)
+
+
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         cfg = small_config(noise_sigma=0.05)
@@ -234,6 +270,59 @@ class TestDatasetIO:
         for (a, ch_a), (b, ch_b) in zip(three, five):
             np.testing.assert_array_equal(a.boxes, b.boxes)
             np.testing.assert_array_equal(ch_a, ch_b)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 37])
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, count):
+        cfg = small_config(noise_sigma=0.05)
+        written = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            save_dataset(tmp_path / f"cpus{cpus}", cfg, count=count, seed=11)
+            assert multiprocessing.active_children() == []
+            written.append({path.name: path.read_bytes() for path in (tmp_path / f"cpus{cpus}").iterdir()})
+        assert written[1] == written[0]
+        assert written[2] == written[0]
+        stacks = {}
+        for scene, channels in generate_dataset(cfg, count, seed=11):
+            buffer = io.BytesIO()
+            np.save(buffer, channels)
+            stacks[f"scene_{scene.scene_id:05d}.npy"] = buffer.getvalue()
+        assert {name: data for name, data in written[0].items() if name.endswith(".npy")} == stacks
+        assert set(written[0]) == set(stacks) | {"index.jsonl", "manifest.json"}
+        assert written[0]["index.jsonl"].count(b"\n") == count
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_scene_writes_no_index_or_manifest(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        save_dataset(tmp_path / "ds", small_config(), count=3, seed=5)
+        crowded = small_config(density=0.01, max_attempts=1)
+        with pytest.raises(SceneGenerationError, match=r"^scene 0: gave up after 1 attempts") as failure:
+            save_dataset(tmp_path / "ds", crowded, count=6, seed=5)
+        assert type(failure.value) is SceneGenerationError
+        assert not (tmp_path / "ds" / "index.jsonl").exists()
+        assert not (tmp_path / "ds" / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_fails_the_save(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, save_scenes = os.getpid(), scenes._save_scenes
+
+        def die_in_worker(*args):
+            return save_scenes(*args) if os.getpid() == parent else os._exit(3)
+
+        monkeypatch.setattr(scenes, "_save_scenes", die_in_worker)
+        with pytest.raises(RuntimeError, match="exited without a result"):
+            save_dataset(tmp_path / "ds", small_config(), count=4, seed=5)
+        assert not (tmp_path / "ds" / "index.jsonl").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_caller_saves_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pool.apply(_save_small_split, (tmp_path / "daemon",))
+        _save_small_split(tmp_path / "direct")
+        for path in (tmp_path / "direct").iterdir():
+            assert (tmp_path / "daemon" / path.name).read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize(
         "stack",
