@@ -7,9 +7,10 @@ The package is organised around a small set of numerical contracts:
   dual potentials and an analytic gradient for the dual-form matching loss.
 - :mod:`orientsemi.weighting` -- the geometry-aware pair weight, one per
   pair.
-- :mod:`orientsemi.consistency` -- mass distributions (one atom per pair)
-  and the noise-contrasted global consistency loss built on the transport
-  solver.
+- :mod:`orientsemi.consistency` -- the noise-contrasted global consistency
+  loss: one atom per pair with mass ``exp(score)`` on each side, matched by
+  the transport solver under the run config's ``[semi]`` and ``[tab1]``
+  settings.
 - :mod:`orientsemi.sampling` -- dense pseudo-label selection (score floor and
   top-N cap, rotated NMS, ratio sampling, hard-negative mining, top-k) into
   one flat pair record of the teacher's outputs at the sampled cells.
@@ -23,8 +24,8 @@ The package is organised around a small set of numerical contracts:
 - :mod:`orientsemi.evaluation` -- rotated-box mAP.
 - :mod:`orientsemi.cli` -- command line entry points, the documented
   interface.
-- :mod:`orientsemi.records` -- canonical JSONL records, schemas and atomic
-  file replacement.
+- :mod:`orientsemi.records` -- canonical JSON lines, schemas and durable
+  atomic file replacement.
 - :mod:`orientsemi.config` -- the run configuration and its INI/dict forms.
 
 Everything is deterministic given a seed: a single PCG64 generator drives

@@ -15,13 +15,14 @@ exits nonzero, so scripts can gate on the exit code alone.  The
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+from orientsemi.records import canonical_line
 
 OUTPUT_ROOT_ENV = "ORIENTSEMI_OUT"
 
@@ -51,8 +52,6 @@ def _build_config(args):
 
 
 def _emit(record: dict) -> None:
-    from orientsemi.records import canonical_line
-
     print(canonical_line(record))
 
 
@@ -129,7 +128,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from orientsemi.evaluation import evaluate_model
-    from orientsemi.records import canonical_line
     from orientsemi.scenes import SceneDataset
     from orientsemi.training import load_checkpoint
 
@@ -316,6 +314,8 @@ def cmd_iou_curves(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from orientsemi import evaluation
+
     parser = argparse.ArgumentParser(
         prog="orientsemi",
         description="Semi-supervised oriented object detection on synthetic scenes.",
@@ -350,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--model", choices=["auto", "student", "teacher"], default="auto")
     p.add_argument("--thresholds", type=str, default=None, help="comma-separated IoU thresholds")
-    p.add_argument("--score-floor", type=float, default=0.05)
-    p.add_argument("--nms-iou", type=float, default=0.1)
-    p.add_argument("--max-detections", type=int, default=100)
+    p.add_argument("--score-floor", type=float, default=evaluation.SCORE_FLOOR)
+    p.add_argument("--nms-iou", type=float, default=evaluation.NMS_IOU)
+    p.add_argument("--max-detections", type=int, default=evaluation.MAX_DETECTIONS)
     p.add_argument("--out", type=Path, default=None, help="also write the summary to a file")
     p.set_defaults(func=cmd_eval)
 
@@ -388,14 +388,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not crashes
-        print(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc), "command": args.command},
-                sort_keys=True,
-                separators=(",", ":"),
-            ),
-            file=sys.stderr,
-        )
+        record = {"error": type(exc).__name__, "message": str(exc), "command": args.command}
+        print(canonical_line(record), file=sys.stderr)
         return 1
 
 

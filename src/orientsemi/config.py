@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, get_type_hints
 
-from orientsemi.consistency import NgcConfig
 from orientsemi.detector import DetectorConfig
+from orientsemi.records import canonical_line
 from orientsemi.sampling import SamplerConfig
 from orientsemi.scenes import AugmentConfig, SceneConfig
 
@@ -36,6 +35,16 @@ class Tab1Config:
     hard_iou_threshold: float = 0.1
     beta: float = 0.3
     global_threshold: int = 150
+
+    def __post_init__(self) -> None:
+        self.check()
+
+    def check(self) -> None:
+        """Raise ``ValueError`` if a setting is out of range."""
+        if self.beta < 0.0:
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if self.global_threshold < 0:
+            raise ValueError(f"global_threshold must be >= 0, got {self.global_threshold}")
 
 
 @dataclass
@@ -101,6 +110,11 @@ class SemiConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError(f"flip_probability must be in [0, 1], got {self.flip_probability}")
+        for name in ("ot_epsilon", "ot_tolerance"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.ot_max_iters < 1:
+            raise ValueError(f"ot_max_iters must be >= 1, got {self.ot_max_iters}")
 
     @property
     def burn_in_iters(self) -> int:
@@ -124,15 +138,6 @@ class RunConfig:
             max_hard=self.semi.max_hard if self.semi.max_hard > 0 else None,
         )
 
-    def ngc_config(self) -> NgcConfig:
-        return NgcConfig(
-            epsilon=self.semi.ot_epsilon,
-            max_iters=self.semi.ot_max_iters,
-            tolerance=self.semi.ot_tolerance,
-            beta=self.tab1.beta,
-            global_threshold=self.tab1.global_threshold,
-        )
-
     def augment_config(self) -> AugmentConfig:
         return AugmentConfig(
             add_sigma=self.semi.add_sigma,
@@ -143,15 +148,15 @@ class RunConfig:
     def check(self) -> None:
         """Raise ``ValueError`` if a setting is out of range.
 
-        Sections check themselves on construction, and ``[semi]`` again
-        here, since code may set its fields after construction; building
-        the three mechanism configs runs the checks on the settings they
-        take from ``[semi]`` and ``[tab1]``, which otherwise would fire
-        only at the first unlabeled step.
+        Sections check themselves on construction, and ``[semi]`` and
+        ``[tab1]`` again here, since code may set their fields after
+        construction; building the two mechanism configs runs the checks
+        on the settings they take from ``[semi]`` and ``[tab1]``, which
+        otherwise would fire only at the first unlabeled step.
         """
         self.semi.check()
+        self.tab1.check()
         self.sampler_config()
-        self.ngc_config()
         self.augment_config()
 
     def to_dict(self) -> dict:
@@ -163,8 +168,7 @@ class RunConfig:
         return _update(cls(), ((name, key, value) for name, section in data.items() for key, value in section.items()))
 
     def digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return hashlib.sha256(canonical_line(self.to_dict()).encode()).hexdigest()[:16]
 
 
 _SECTIONS = {

@@ -23,6 +23,10 @@ from orientsemi.geometry import RotatedBox, rotated_iou_pairs, rotated_nms
 from orientsemi.sampling import DensePrediction, top_cells
 
 FULL_THRESHOLDS = tuple(np.round(np.arange(0.5, 0.96, 0.05), 2))
+# Detection defaults of every scoring path: library calls and ``eval``.
+SCORE_FLOOR = 0.05
+NMS_IOU = 0.1
+MAX_DETECTIONS = 100
 
 
 @dataclass
@@ -34,9 +38,9 @@ class Detection:
 
 def detect(
     prediction: DensePrediction,
-    score_floor: float = 0.05,
-    nms_iou: float = 0.1,
-    max_detections: int = 100,
+    score_floor: float = SCORE_FLOOR,
+    nms_iou: float = NMS_IOU,
+    max_detections: int = MAX_DETECTIONS,
     pre_nms_top: int = 2000,
 ) -> list[Detection]:
     """Extract scored detections from a dense prediction.
@@ -202,9 +206,9 @@ def evaluate_model(
     dataset,
     detector_config,
     thresholds: Sequence[float] = FULL_THRESHOLDS,
-    score_floor: float = 0.05,
-    nms_iou: float = 0.1,
-    max_detections: int = 100,
+    score_floor: float = SCORE_FLOOR,
+    nms_iou: float = NMS_IOU,
+    max_detections: int = MAX_DETECTIONS,
 ) -> dict:
     """Run detection over every scene in a dataset and score it."""
     from orientsemi.detector import predict_dense

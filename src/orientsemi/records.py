@@ -26,12 +26,24 @@ def canonical_line(record: dict) -> str:
 
 def write_atomic(path: Path, data: bytes) -> None:
     """Replace ``path`` by ``data`` through a sibling temp file, so a
-    write that fails part-way leaves the previous file whole."""
+    write that fails part-way leaves the previous file whole.
+
+    The temp file is flushed to disk before the rename and the directory
+    after it, so a power loss leaves either the old file or the new one,
+    never an empty one.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
         handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def write_records(path: Path, records: Iterable[dict]) -> int:

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from orientsemi.geometry import RotatedBox, normalize_angle, normalize_angles, rotated_iou
+from orientsemi.records import canonical_line, write_atomic
 
 LAYOUTS = ("uniform", "grid-regular", "clustered")
 
@@ -363,7 +364,7 @@ def _save_scenes(out_dir: Path, config: SceneConfig, seed: int, start: int, stop
             "boxes": [[float(v) for v in row] for row in scene.boxes],
             "classes": [int(c) for c in scene.classes],
         }
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        lines.append(canonical_line(record))
     return lines
 
 
@@ -450,7 +451,7 @@ def save_dataset(
     # start processes of its own.
     workers = 1 if multiprocessing.current_process().daemon else len(os.sched_getaffinity(0))
     index_lines = _save_in_workers(out_dir, config, seed, count, max(1, min(workers, count)))
-    (out_dir / "index.jsonl").write_text("\n".join(index_lines) + ("\n" if index_lines else ""))
+    write_atomic(out_dir / "index.jsonl", "".join(line + "\n" for line in index_lines).encode())
     manifest = {
         "kind": "scene-dataset",
         "version": 1,
@@ -458,9 +459,7 @@ def save_dataset(
         "seed": seed,
         "config": {k: getattr(config, k) for k in config.__dataclass_fields__},
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    write_atomic(out_dir / "manifest.json", (canonical_line(manifest) + "\n").encode())
     return manifest
 
 

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from orientsemi.cli import main as cli_main
-from orientsemi.config import RunConfig, apply_overrides, load_ini, save_ini
-from orientsemi.consistency import NgcConfig, ngc_loss
+from orientsemi.config import RunConfig, Tab1Config, apply_overrides, load_ini, save_ini
+from orientsemi.consistency import ngc_loss
 from orientsemi.geometry import RotatedBox, grid_cells_in_box, iou_rotation_curve, rotated_iou
 from orientsemi.sampling import DensePrediction, mine_hard, sample_easy
 from orientsemi.training import ema_update, init_state
@@ -28,7 +28,6 @@ from orientsemi.transport import TransportProblem, build_cost_matrix, gc_loss, s
 from orientsemi.weighting import pair_weights
 
 from tests._oracles import MonteCarloIoU, fd_gradient, random_box_pair, vertex_transport_cost
-from tests._support import class_distributions
 
 
 def test_criterion_01_polygon_iou_matches_monte_carlo_rasterization():
@@ -144,29 +143,37 @@ def test_criterion_06_consistency_gating_and_noise_free_reduction():
     noise scale at zero the loss is twice the clean matching term (within
     1e-9) and the plan penalty is exactly zero."""
     rng = np.random.default_rng(106)
-    config = NgcConfig(global_threshold=150, beta=0.3)
+    config = RunConfig(tab1=Tab1Config(global_threshold=150, beta=0.3))
 
     def random_distribution(n: int):
         positions = rng.random((n, 2)) * 64.0
         score_rows = rng.random((n, 3))
         return positions, score_rows
 
-    n_gated = config.global_threshold - 1
+    def class_scores(teacher_rows: np.ndarray, student_rows: np.ndarray):
+        # Both sides read at each teacher row's argmax class.
+        at = np.arange(teacher_rows.shape[0])
+        class_index = np.argmax(teacher_rows, axis=1)
+        return teacher_rows[at, class_index], student_rows[at, class_index]
+
+    n_gated = config.tab1.global_threshold - 1
     positions, rows = random_distribution(n_gated)
-    teacher, student = class_distributions(positions, rows, rng.random((n_gated, 3)))
-    gated = ngc_loss(teacher, student, config, rng)
+    gated = ngc_loss(positions, *class_scores(rows, rng.random((n_gated, 3))), config, rng)
     assert gated.gated
     assert gated.loss == 0.0
-    assert np.all(gated.grad_values == 0.0)
+    assert np.all(gated.grad_scores == 0.0)
 
     n = 200
     positions, rows = random_distribution(n)
-    teacher, student = class_distributions(positions, rows, rng.random((n, 3)))
-    noise_free = ngc_loss(teacher, student, NgcConfig(global_threshold=150, beta=0.0), rng)
+    teacher_scores, student_scores = class_scores(rows, rng.random((n, 3)))
+    config.tab1.beta = 0.0
+    noise_free = ngc_loss(positions, teacher_scores, student_scores, config, rng)
     assert not noise_free.gated
     assert noise_free.loss_plan == 0.0
-    cost = build_cost_matrix(teacher.positions, teacher.scores, student.positions, student.scores)
-    clean = gc_loss(teacher.values, student.values, cost, epsilon=0.1, max_iters=1000, tolerance=1e-6)
+    cost = build_cost_matrix(positions, teacher_scores, positions, student_scores)
+    clean = gc_loss(
+        np.exp(teacher_scores), np.exp(student_scores), cost, epsilon=0.1, max_iters=1000, tolerance=1e-6
+    )
     assert noise_free.loss == pytest.approx(2.0 * clean.loss, abs=1e-9)
 
 

@@ -1,13 +1,15 @@
 """End-to-end command-line lifecycle plus record-schema validation."""
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orientsemi.cli import main
-from orientsemi.records import validate_record, write_records
+from orientsemi.records import validate_record, write_atomic, write_records
 
 from tests._support import read_records, validate_file
 
@@ -355,6 +357,35 @@ class TestRecords:
         path = tmp_path / "c.jsonl"
         write_records(path, [{"b": 2, "a": 1}])
         assert path.read_text() == '{"a":1,"b":2}\n'
+
+    def test_write_atomic_syncs_file_then_renames_then_syncs_directory(self, tmp_path, monkeypatch):
+        # A power loss must find the old file or the whole new one: the
+        # temp file's bytes reach the disk before the rename, and the
+        # rename itself (a directory entry) after it.
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", "dir" if stat.S_ISDIR(info.st_mode) else info.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes(b"old")
+        write_atomic(path, b"new bytes")
+        assert events == [
+            ("fsync", 9),
+            ("replace", "checkpoint.bin.tmp", "checkpoint.bin"),
+            ("fsync", "dir"),
+        ]
+        assert path.read_bytes() == b"new bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(KeyError):

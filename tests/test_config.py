@@ -11,7 +11,6 @@ from orientsemi.config import (
     load_ini,
     save_ini,
 )
-from orientsemi.consistency import NgcConfig
 from orientsemi.sampling import SamplerConfig
 from orientsemi.scenes import AugmentConfig
 
@@ -171,7 +170,6 @@ class TestDefaults:
     def test_mechanism_configs_share_the_section_defaults(self):
         config = RunConfig()
         assert config.sampler_config() == SamplerConfig()
-        assert config.ngc_config() == NgcConfig()
         assert config.augment_config() == AugmentConfig()
 
 

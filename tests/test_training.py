@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from orientsemi.config import RunConfig, SemiConfig, Tab1Config
-from orientsemi.consistency import NgcConfig
 from orientsemi.detector import (
     NUM_EXTRA_HEADS,
     DetectorConfig,
@@ -38,7 +37,6 @@ from orientsemi.training import (
 )
 from orientsemi import training
 from tests._oracles import PairGeometry, PerViewFloat32Trainer, fd_gradient, modulating_factor
-from tests._support import mass_distribution
 
 
 def tiny_scene_config(**kwargs) -> SceneConfig:
@@ -383,43 +381,42 @@ class TestConsistencyLoss:
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
-    def test_mass_chain_matches_finite_differences(self):
+    def test_mass_chain_matches_finite_differences(self, monkeypatch):
         # Gradients flow through the student's mass vector only; the cost
-        # matrix is data.  Pinning the score vector while the mass varies
+        # matrix is data.  Pinning the cost matrix while the scores vary
         # isolates exactly that path, so central differences must agree.
-        from orientsemi.consistency import GlobalDistribution, ngc_loss
+        from orientsemi import consistency
+        from orientsemi.consistency import ngc_loss
+        from orientsemi.transport import build_cost_matrix
         from scipy.special import expit
 
         rng = np.random.default_rng(0)
         n = 12
         positions = rng.uniform(0.0, 24.0, size=(n, 2))
         t_scores = rng.uniform(0.2, 0.9, size=n)
-        teacher = mass_distribution(positions, t_scores)
         # Tight solver tolerance: the envelope gradient is exact only at
         # the true fixed point, so solver slack shows up in the match.
-        cfg = NgcConfig(beta=0.0, global_threshold=5, tolerance=1e-12, max_iters=20_000)
+        cfg = RunConfig(
+            semi=SemiConfig(ot_tolerance=1e-12, ot_max_iters=20_000), tab1=Tab1Config(beta=0.0, global_threshold=5)
+        )
         pinned_scores = rng.uniform(0.2, 0.9, size=n)
         z0 = rng.normal(size=n)
+        cost = build_cost_matrix(positions, t_scores, positions, pinned_scores)
+        monkeypatch.setattr(consistency, "build_cost_matrix", lambda *args: cost)
 
         def loss_of(z):
-            student = GlobalDistribution(np.exp(expit(z)), positions, pinned_scores)
-            return ngc_loss(teacher, student, cfg, np.random.default_rng(1)).loss
+            return ngc_loss(positions, t_scores, expit(z), cfg, np.random.default_rng(1)).loss
 
         p0 = expit(z0)
-        result = ngc_loss(
-            teacher,
-            GlobalDistribution(np.exp(p0), positions, pinned_scores),
-            cfg,
-            np.random.default_rng(1),
-        )
+        result = ngc_loss(positions, t_scores, p0, cfg, np.random.default_rng(1))
         assert not result.gated
-        analytic = result.grad_values * np.exp(p0) * p0 * (1.0 - p0)
+        analytic = result.grad_scores * p0 * (1.0 - p0)
         fd = fd_gradient(loss_of, z0, step=1e-6)
         np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-10)
 
     def test_matches_recomposed_chain(self):
         # The training-side wrapper must equal the composition of the
-        # consistency term (independently verified) with the sigmoid/exp
+        # consistency term (independently verified) with the sigmoid
         # chain and the per-pair scatter into the weight gradient.
         from orientsemi.consistency import ngc_loss
         from scipy.special import expit
@@ -433,12 +430,10 @@ class TestConsistencyLoss:
         cols = pairs.iy * run.scene.width + pairs.ix
         cidx = pairs.class_index
         rows = np.arange(len(pairs))
-        teacher = mass_distribution(pairs.xy(), pairs.score_rows[rows, cidx])
         p = expit(raw[cidx, cols])
-        student = mass_distribution(pairs.xy(), p)
-        result = ngc_loss(teacher, student, run.ngc_config(), np.random.default_rng(4))
+        result = ngc_loss(pairs.xy(), pairs.score_rows[rows, cidx], p, run, np.random.default_rng(4))
         assert loss == pytest.approx(result.loss, abs=1e-15)
-        d_z = result.grad_values * student.values * p * (1.0 - p)
+        d_z = result.grad_scores * p * (1.0 - p)
         d_cols = np.zeros((raw.shape[0], len(pairs)))
         d_cols[cidx, rows] = d_z
         np.testing.assert_allclose(grad, d_cols @ features[:, cols].T, rtol=1e-12, atol=1e-15)
