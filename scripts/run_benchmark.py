@@ -25,7 +25,7 @@ from pathlib import Path
 from orientsemi.cli import output_root
 from orientsemi.config import apply_overrides, load_ini
 from orientsemi.evaluation import FULL_THRESHOLDS, evaluate_model
-from orientsemi.records import append_record, validate_record
+from orientsemi.records import append_records, validate_record
 from orientsemi.scenes import SceneDataset, save_dataset
 from orientsemi.training import run_training
 
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
                 "overrides": overrides,
             }
             validate_record(record, "study")
-            append_record(study_path, record)
+            append_records(study_path, [record])
             results[(variant, seed)] = record
             print(
                 f"{variant:16s} seed {seed}  mAP50 {100 * record['map50']:5.1f}  "

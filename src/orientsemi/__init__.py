@@ -19,13 +19,13 @@ The package is organised around a small set of numerical contracts:
   gradients, small enough to train on one core.
 - :mod:`orientsemi.training` -- burn-in + EMA teacher-student loop, the
   two unsupervised losses (one signature: model, outputs, pairs, config),
-  the shared head-error block, sampler dispatch, pseudo-label records and
-  checkpoints.
+  the shared head-error block, sampler dispatch, pseudo-label records,
+  checkpoints, and the run directory.
 - :mod:`orientsemi.evaluation` -- rotated-box mAP.
 - :mod:`orientsemi.cli` -- command line entry points, the documented
   interface.
-- :mod:`orientsemi.records` -- canonical JSON lines, schemas and durable
-  atomic file replacement.
+- :mod:`orientsemi.records` -- canonical JSON lines, schemas, and the
+  package's two file writers: atomic replacement and synced append.
 - :mod:`orientsemi.config` -- the run configuration and its INI/dict forms.
 
 Everything is deterministic given a seed: a single PCG64 generator drives

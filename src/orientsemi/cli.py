@@ -43,11 +43,11 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_config(args):
+def _build_config(args, flags=()):
     from orientsemi.config import RunConfig, apply_overrides, load_ini
 
     config = load_ini(args.config) if args.config else RunConfig()
-    apply_overrides(config, args.overrides)
+    apply_overrides(config, [*args.overrides, *flags])
     return config
 
 
@@ -73,41 +73,33 @@ def cmd_gen_scenes(args) -> int:
     return 0
 
 
-def _apply_train_flags(config, args) -> None:
-    if args.supervised_only:
-        config.semi.supervised_only = True
-    if args.no_gaw:
-        config.semi.enable_gaw = False
-    if args.no_ngc:
-        config.semi.enable_ngc = False
-    if args.sampler is not None:
-        config.semi.sampler = args.sampler
-    if args.seed is not None:
-        config.semi.seed = args.seed
+def _train_flags(args) -> list[str]:
+    """``train``'s variant flags as ``semi.*`` overrides."""
+    flags = {
+        "supervised_only": True if args.supervised_only else None,
+        "enable_gaw": False if args.no_gaw else None,
+        "enable_ngc": False if args.no_ngc else None,
+        "sampler": args.sampler,
+        "seed": args.seed,
+    }
+    return [f"semi.{key}={value}" for key, value in flags.items() if value is not None]
 
 
 def cmd_train(args) -> int:
-    from orientsemi.config import save_ini
     from orientsemi.scenes import SceneDataset
-    from orientsemi.training import check_run, run_training
+    from orientsemi.training import run_training
 
-    config = _build_config(args)
-    _apply_train_flags(config, args)
+    config = _build_config(args, _train_flags(args))
     labeled = SceneDataset(args.labeled)
     unlabeled = SceneDataset(args.unlabeled) if args.unlabeled else None
-    # Before anything is written: a run that cannot start leaves no files.
-    check_run(config, labeled, unlabeled)
-    out = args.out or output_root() / "train"
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_ini(config, out / "config.ini")
+    out = Path(args.out or output_root() / "train")
     started = time.perf_counter()
     state, metrics = run_training(
         config,
         labeled,
         unlabeled,
         out_dir=out,
-        resume_from=args.resume,
+        resume=args.resume,
         checkpoint_every=args.checkpoint_every,
         dump_pseudo=args.dump_pseudo,
         stop_after=args.stop_after,
@@ -128,6 +120,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from orientsemi.evaluation import evaluate_model
+    from orientsemi.records import write_records
     from orientsemi.scenes import SceneDataset
     from orientsemi.training import load_checkpoint
 
@@ -157,7 +150,7 @@ def cmd_eval(args) -> int:
     result["model"] = model
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(canonical_line(result) + "\n")
+        write_records(args.out, [result])
     _emit(result)
     return 0
 
@@ -339,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-ngc", action="store_true", help="disable the global consistency term")
     p.add_argument("--sampler", choices=["sids", "topk"], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--resume", type=Path, default=None, help="checkpoint to continue from")
+    p.add_argument("--resume", action="store_true", help="continue the run from --out's checkpoint.bin")
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--stop-after", type=int, default=None)
     p.add_argument("--dump-pseudo", action="store_true", help="record sampled pseudo-labels")

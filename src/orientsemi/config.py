@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, get_type_hints
 
 from orientsemi.detector import DetectorConfig
-from orientsemi.records import canonical_line
+from orientsemi.records import canonical_line, write_atomic
 from orientsemi.sampling import SamplerConfig
 from orientsemi.scenes import AugmentConfig, SceneConfig
 
@@ -239,12 +240,13 @@ def apply_overrides(config: RunConfig, overrides: list[str]) -> RunConfig:
 
 
 def save_ini(config: RunConfig, path: Path) -> None:
-    """Write every section and key; the output round-trips via load_ini."""
+    """Atomically write every section and key; round-trips via load_ini."""
     parser = ConfigParser()
     for section_name in _SECTIONS:
         parser.add_section(section_name)
         section = getattr(config, section_name)
         for f in dataclasses.fields(section):
             parser.set(section_name, f.name, str(getattr(section, f.name)))
-    with open(path, "w") as handle:
-        parser.write(handle)
+    text = io.StringIO()
+    parser.write(text)
+    write_atomic(path, text.getvalue().encode())

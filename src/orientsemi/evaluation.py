@@ -27,6 +27,7 @@ FULL_THRESHOLDS = tuple(np.round(np.arange(0.5, 0.96, 0.05), 2))
 SCORE_FLOOR = 0.05
 NMS_IOU = 0.1
 MAX_DETECTIONS = 100
+PRE_NMS_TOP = 2000
 
 
 @dataclass
@@ -41,18 +42,18 @@ def detect(
     score_floor: float = SCORE_FLOOR,
     nms_iou: float = NMS_IOU,
     max_detections: int = MAX_DETECTIONS,
-    pre_nms_top: int = 2000,
 ) -> list[Detection]:
     """Extract scored detections from a dense prediction.
 
-    Per class: score = class probability * centerness, floor filter,
-    rotated NMS; then a global cap keeps the ``max_detections`` highest
-    scores.  Deterministic for a fixed prediction.
+    Per class: score = class probability * centerness, floor filter, the
+    ``PRE_NMS_TOP`` best cells, rotated NMS; then a global cap keeps the
+    ``max_detections`` highest scores.  Deterministic for a fixed
+    prediction.
     """
     out: list[Detection] = []
     for k in range(prediction.num_classes):
         scores = prediction.class_scores[:, :, k] * prediction.centerness
-        iy, ix, flat_scores = top_cells(scores, scores >= score_floor, pre_nms_top)
+        iy, ix, flat_scores = top_cells(scores, scores >= score_floor, PRE_NMS_TOP)
         rows = prediction.boxes[iy, ix]
         # Per class only the best max_detections boxes can survive the
         # global cap, so the NMS scan may stop there: its kept list is

@@ -6,6 +6,9 @@ produce byte-identical files.  The schema files under
 ``orientsemi/schemas/`` describe each record kind; ``validate_record``
 checks a parsed record against one (requires the optional ``jsonschema``
 package).
+
+Every file the package writes goes through one of two writers:
+:func:`write_atomic` replaces a file, :func:`append_records` appends.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 _SCHEMA_DIR = Path(__file__).parent / "schemas"
 
@@ -22,6 +25,10 @@ SCHEMA_NAMES = ("metrics", "pseudo", "eval", "study", "ot_bench", "iou_curve")
 
 def canonical_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _lines(records: Iterable[dict]) -> bytes:
+    return "".join(canonical_line(r) + "\n" for r in records).encode()
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -46,16 +53,21 @@ def write_atomic(path: Path, data: bytes) -> None:
         os.close(directory)
 
 
-def write_records(path: Path, records: Iterable[dict]) -> int:
-    """Write records as canonical JSONL; returns the number written."""
-    lines = [canonical_line(r) for r in records]
-    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode())
-    return len(lines)
+def write_records(path: Path, records: Sequence[dict]) -> int:
+    """Replace ``path`` by ``records`` as canonical JSONL through
+    :func:`write_atomic`; returns the number written."""
+    write_atomic(path, _lines(records))
+    return len(records)
 
 
-def append_record(path: Path, record: dict) -> None:
-    with open(path, "a") as handle:
-        handle.write(canonical_line(record) + "\n")
+def append_records(path: Path, records: Iterable[dict]) -> None:
+    """Append ``records`` to ``path`` as canonical JSONL and flush them to
+    disk before returning, so a caller that next writes a file depending
+    on them (a checkpoint) never finds it ahead of them."""
+    with open(path, "ab") as handle:
+        handle.write(_lines(records))
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def schema_path(name: str) -> Path:

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
-from orientsemi.config import RunConfig
+from orientsemi.config import RunConfig, save_ini
 from orientsemi.consistency import ngc_loss
 from orientsemi.detector import (
     DIRECTION_EPS,
@@ -50,7 +50,7 @@ from orientsemi.detector import (
     mirror_features,
 )
 from orientsemi.geometry import RotatedBox, grid_cells_in_box
-from orientsemi.records import canonical_line, write_atomic
+from orientsemi.records import append_records, canonical_line, write_atomic
 from orientsemi.sampling import PROVENANCE_EASY, DensePrediction, PseudoLabelSet, build_pairs, topk_pairs
 from orientsemi.scenes import SceneConfig, SyntheticScene, flip_ground_truth, flip_scene, strong_augment
 from orientsemi.weighting import pair_weights
@@ -336,7 +336,6 @@ def weighted_pair_loss(
     features: np.ndarray,
     pairs: PseudoLabelSet,
     config: RunConfig,
-    omega_override: Optional[np.ndarray] = None,
 ) -> tuple[float, np.ndarray, dict]:
     """Geometry-weighted teacher-student pair loss and its gradient.
 
@@ -349,9 +348,7 @@ def weighted_pair_loss(
     student outputs each call but enters the gradient as a constant
     coefficient: it grades pair difficulty, it is not itself a training
     target (and it is unbounded above, so descending through it is
-    unstable).  ``omega_override`` pins the weights to given values,
-    which makes the loss an ordinary differentiable function of the
-    parameters for gradient checking.
+    unstable).
     """
     n_pairs = len(pairs)
     if n_pairs == 0:
@@ -375,9 +372,7 @@ def weighted_pair_loss(
 
     pair_total = cls_pair + reg_pair + ctr_pair
 
-    if omega_override is not None:
-        omega = np.asarray(omega_override, dtype=np.float64)
-    elif config.semi.enable_gaw:
+    if config.semi.enable_gaw:
         log_lo, log_hi = math.log(config.detector.min_side), math.log(config.detector.max_side)
         lw = np.clip(raw[k + OFF_LOGW, cols], log_lo, log_hi)
         lh = np.clip(raw[k + OFF_LOGH, cols], log_lo, log_hi)
@@ -820,75 +815,70 @@ def check_run(config: RunConfig, labeled, unlabeled=None) -> None:
         check_split("unlabeled", unlabeled, config.scene)
 
 
+def _records_before(path: Path, iteration: int) -> list[bytes]:
+    """The whole lines of the record stream ``path`` (none if it is
+    missing) with ``iter`` below ``iteration``: what a resume there keeps.
+    A torn last line, cut off by a crash mid-append, is not whole."""
+    lines = path.read_bytes().splitlines(keepends=True) if path.exists() else []
+    return [line for line in lines if line.endswith(b"\n") and json.loads(line)["iter"] < iteration]
+
+
 def run_training(
     config: RunConfig,
     labeled,
     unlabeled=None,
     out_dir: Optional[Path] = None,
-    resume_from: Optional[Path] = None,
+    resume: bool = False,
     checkpoint_every: int = 0,
     dump_pseudo: bool = False,
     stop_after: Optional[int] = None,
 ) -> tuple[TrainState, list[dict]]:
-    """Drive the full loop and write metrics/checkpoint artifacts.
+    """Drive the full loop; with ``out_dir``, own that run directory.
 
-    Writes ``metrics.jsonl`` (one record per iteration),
-    ``checkpoint.bin`` and, with ``dump_pseudo``, ``pseudo.jsonl`` under
-    ``out_dir`` if given.  With ``resume_from`` the loop continues a
-    saved state; previously written metric lines and pseudo-label
-    records past the checkpoint's iteration are discarded, and those
-    before it kept, so the finished files are byte-identical to an
-    uninterrupted run's.  ``stop_after`` halts at
-    an iteration count below the configured total (state is still
-    checkpointed), which models an interrupted run.
-
-    Raises ``ValueError`` before the first iteration if
-    :func:`check_run` does.
+    Every check runs before the first write: :func:`check_run`, and with
+    ``resume`` that ``out_dir/checkpoint.bin`` loads, holds ``config``
+    and follows one ``metrics.jsonl`` record per earlier iteration.  Then
+    ``config.ini`` is written, and ``metrics.jsonl`` (and with
+    ``dump_pseudo`` ``pseudo.jsonl``) created empty, or on resume cut
+    back to its whole records before the checkpoint's iteration.  Each
+    checkpoint (every ``checkpoint_every`` iterations, and at the end)
+    appends and syncs the new records, then writes ``checkpoint.bin``,
+    so a resumed run ends byte-identical to an uninterrupted one.
+    ``stop_after`` halts below the configured total, which models an
+    interrupted run.
     """
+    if resume and out_dir is None:
+        raise ValueError("resume continues the run in out_dir; none was given")
     check_run(config, labeled, unlabeled)
-    if resume_from is not None:
-        state = load_checkpoint(resume_from)
-        if state.config.to_dict() != config.to_dict():
-            raise ValueError("resume config does not match checkpoint config")
-    else:
-        state = init_state(config)
-    trainer = Trainer(config, labeled, unlabeled)
-    semi = config.semi
-
-    metrics_path = pseudo_path = checkpoint_path = None
-    lines: list[str] = []
-    pending_pseudo: list[str] = []
+    streams: dict[str, Sequence[bytes]] = {}
     if out_dir is not None:
         out_dir = Path(out_dir)
+        streams = dict.fromkeys(("metrics", "pseudo") if dump_pseudo else ("metrics",), ())
+    if resume:
+        state = load_checkpoint(out_dir / "checkpoint.bin")
+        if state.config.to_dict() != config.to_dict():
+            raise ValueError("resume config does not match checkpoint config")
+        streams = {name: _records_before(out_dir / f"{name}.jsonl", state.iteration) for name in streams}
+        if [json.loads(line)["iter"] for line in streams["metrics"]] != list(range(state.iteration)):
+            raise ValueError(f"{out_dir / 'metrics.jsonl'} does not hold iterations 0..{state.iteration - 1}")
+    else:
+        state = init_state(config)
+    if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        metrics_path = out_dir / "metrics.jsonl"
-        checkpoint_path = out_dir / "checkpoint.bin"
-        if dump_pseudo:
-            pseudo_path = out_dir / "pseudo.jsonl"
-        # On resume, keep the lines of the iterations the checkpoint covers.
-        if state.iteration > 0 and metrics_path.exists():
-            lines = metrics_path.read_text().splitlines()[: state.iteration]
-        if pseudo_path is not None:
-            kept = []
-            if state.iteration > 0 and pseudo_path.exists():
-                # Whole lines only: an append cut short leaves a torn tail.
-                kept = [
-                    line
-                    for line in pseudo_path.read_text().splitlines(keepends=True)
-                    if line.endswith("\n") and json.loads(line)["iter"] < state.iteration
-                ]
-            write_atomic(pseudo_path, "".join(kept).encode())
+        save_ini(config, out_dir / "config.ini")
+        for name, kept in streams.items():
+            write_atomic(out_dir / f"{name}.jsonl", b"".join(kept))
+    pending: dict[str, list[dict]] = {name: [] for name in streams}
 
     def write_outputs() -> None:
-        # Lines first: a checkpoint never runs ahead of its lines.  Pseudo
-        # records are appended, as they far outgrow the metrics lines.
-        write_atomic(metrics_path, "".join(line + "\n" for line in lines).encode())
-        if pseudo_path is not None:
-            with open(pseudo_path, "ab") as handle:
-                handle.write("".join(line + "\n" for line in pending_pseudo).encode())
-            pending_pseudo.clear()
-        save_checkpoint(checkpoint_path, state)
+        # Records first: a checkpoint never runs ahead of its records.
+        for name, records in pending.items():
+            append_records(out_dir / f"{name}.jsonl", records)
+            records.clear()
+        save_checkpoint(out_dir / "checkpoint.bin", state)
 
+    trainer = Trainer(config, labeled, unlabeled)
+    semi = config.semi
     all_metrics: list[dict] = []
     n_labeled = len(labeled.scenes)
     n_unlabeled = len(unlabeled.scenes) if unlabeled is not None else 0
@@ -903,18 +893,17 @@ def run_training(
         )
         record = trainer.train_step(state, labeled_idx, unlabeled_idx)
         all_metrics.append(record)
-        lines.append(canonical_line(record))
-        if pseudo_path is not None:
-            pending_pseudo += [
-                canonical_line(pseudo_record(record["iter"], *view)) for view in trainer.last_pairs
-            ]
+        if "metrics" in pending:
+            pending["metrics"].append(record)
+        if "pseudo" in pending:
+            pending["pseudo"] += [pseudo_record(record["iter"], *view) for view in trainer.last_pairs]
         if (
-            checkpoint_path is not None
+            out_dir is not None
             and checkpoint_every > 0
             and state.iteration % checkpoint_every == 0
-            and state.iteration < semi.total_iters
+            and state.iteration < last_iter
         ):
             write_outputs()
-    if metrics_path is not None:
+    if out_dir is not None:
         write_outputs()
     return state, all_metrics

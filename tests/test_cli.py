@@ -346,6 +346,35 @@ class TestErrorPath:
         assert not out.exists() or not any(out.iterdir())
 
 
+    def test_resume_with_other_config_leaves_run_unchanged(self, datasets, tmp_path, capsys):
+        out = tmp_path / "train"
+        argv = ["train", "--labeled", str(datasets / "lab"), "--unlabeled", str(datasets / "unlab"),
+                "--out", str(out)] + TINY_TRAIN
+        assert main(argv + ["--stop-after", "4"]) == 0
+        capsys.readouterr()
+        names = ("config.ini", "metrics.jsonl", "checkpoint.bin")
+        before = {name: (out / name).read_bytes() for name in names}
+        code, lines, errors = run_cli(argv + ["--resume", "--set", "semi.lr=0.5"], capsys)
+        assert code == 1
+        assert not lines
+        assert errors[-1]["message"] == "resume config does not match checkpoint config"
+        assert {name: (out / name).read_bytes() for name in names} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+    def test_resume_without_checkpoint_leaves_out_empty(self, datasets, tmp_path, capsys):
+        out = tmp_path / "train"
+        out.mkdir()
+        code, lines, errors = run_cli(
+            ["train", "--labeled", str(datasets / "lab"), "--unlabeled", str(datasets / "unlab"),
+             "--out", str(out), "--resume"] + TINY_TRAIN,
+            capsys,
+        )
+        assert code == 1
+        assert not lines
+        assert errors[-1]["error"] == "FileNotFoundError"
+        assert not any(out.iterdir())
+
+
 class TestRecords:
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -386,6 +415,30 @@ class TestRecords:
         ]
         assert path.read_bytes() == b"new bytes"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.bin"]
+
+    def test_eval_out_is_written_atomically(self, datasets, tmp_path, capsys, monkeypatch):
+        from orientsemi import records
+
+        run = tmp_path / "run"
+        assert main(["train", "--labeled", str(datasets / "lab"), "--out", str(run), "--supervised-only"]
+                    + TINY_TRAIN) == 0
+        written = []
+        real = records.write_atomic
+
+        def write_atomic(path, data):
+            written.append(Path(path).name)
+            real(path, data)
+
+        monkeypatch.setattr(records, "write_atomic", write_atomic)
+        out = tmp_path / "reports" / "eval.jsonl"
+        code, lines, _ = run_cli(
+            ["eval", "--checkpoint", str(run / "checkpoint.bin"), "--dataset", str(datasets / "lab"),
+             "--thresholds", "0.5", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert written == ["eval.jsonl"]
+        assert json.loads(out.read_text()) == lines[-1]
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(KeyError):

@@ -337,35 +337,35 @@ class TestWeightedPairLoss:
         aspect_s = np.exp(np.abs(lw - lh))
         return 1.0 + (50.0 / math.pi) * gap * 0.5 * (aspect_t + aspect_s)
 
-    def test_weight_is_constant_in_the_gradient(self):
+    def test_weight_is_constant_in_the_gradient(self, monkeypatch):
         # The modulating weight grades pair difficulty; it is recomputed
         # each call but enters the gradient as a frozen coefficient.
         run, det, params, raw, features, pairs = build_test_pairs(seed=6)
         omega = self._reference_omega(det, raw, pairs, run.scene.width)
         loss_live, grad_live, _ = weighted_pair_loss(params, raw, features, pairs, run)
-        loss_pin, grad_pin, _ = weighted_pair_loss(params, raw, features, pairs, run, omega_override=omega)
+        monkeypatch.setattr(training, "pair_weights", lambda *args: omega)
+        loss_pin, grad_pin, _ = weighted_pair_loss(params, raw, features, pairs, run)
         assert loss_live == pytest.approx(loss_pin, rel=1e-15)
         np.testing.assert_array_equal(grad_live, grad_pin)
 
     @pytest.mark.parametrize("enable_gaw", [False, True])
-    def test_gradient_matches_finite_differences(self, enable_gaw):
+    def test_gradient_matches_finite_differences(self, enable_gaw, monkeypatch):
         run, det, params, raw, features, pairs = build_test_pairs(seed=6)
         run.semi.enable_gaw = enable_gaw
         assert len(pairs) > 0
-        # Pin the weights at the base point: the gradient contract treats
-        # them as data, so the finite-difference probe must as well.
-        omega = (
-            self._reference_omega(det, raw, pairs, run.scene.width) if enable_gaw else None
-        )
         _, grad, _ = weighted_pair_loss(params, raw, features, pairs, run)
         flat = params.weights.ravel()
+        # Pin the weights at the base point: the gradient contract treats
+        # them as data, so the finite-difference probe must as well.
+        omega = self._reference_omega(det, raw, pairs, run.scene.width)
+        monkeypatch.setattr(training, "pair_weights", lambda *args: omega)
 
         def loss_of(vec):
             p = ToyDetectorParams(
                 weights=vec.reshape(params.weights.shape), num_classes=params.num_classes
             )
             raw_p = forward(p, features)
-            return weighted_pair_loss(p, raw_p, features, pairs, run, omega_override=omega)[0]
+            return weighted_pair_loss(p, raw_p, features, pairs, run)[0]
 
         picks = np.random.default_rng(9).choice(flat.size, size=20, replace=False)
         fd = fd_gradient(loss_of, flat, indices=picks, step=1e-6)
@@ -697,7 +697,7 @@ class TestCheckpointing:
             labeled,
             unlabeled,
             out_dir=split_dir,
-            resume_from=split_dir / "checkpoint.bin",
+            resume=True,
         )
         np.testing.assert_array_equal(
             state_resumed.student.weights, state_full.student.weights
@@ -723,7 +723,7 @@ class TestCheckpointing:
             unlabeled,
             out_dir=split_dir,
             dump_pseudo=True,
-            resume_from=split_dir / "checkpoint.bin",
+            resume=True,
         )
         assert (split_dir / "pseudo.jsonl").read_bytes() == (full_dir / "pseudo.jsonl").read_bytes()
 
@@ -761,7 +761,7 @@ class TestCheckpointing:
             unlabeled,
             out_dir=split_dir,
             dump_pseudo=True,
-            resume_from=split_dir / "checkpoint.bin",
+            resume=True,
         )
         assert (split_dir / "pseudo.jsonl").read_bytes() == (full_dir / "pseudo.jsonl").read_bytes()
 
@@ -807,10 +807,78 @@ class TestCheckpointing:
 
         assert load_checkpoint(split_dir / "checkpoint.bin").iteration == 5
         run_training(
-            config, labeled, unlabeled, out_dir=split_dir, resume_from=split_dir / "checkpoint.bin"
+            config, labeled, unlabeled, out_dir=split_dir, resume=True
         )
         for name in ("metrics.jsonl", "checkpoint.bin"):
             assert (split_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
+
+    def test_resume_after_torn_metrics_line_is_bit_exact(self, tmp_path):
+        config = tiny_run_config()
+        labeled, unlabeled = make_datasets(config)
+        full_dir = tmp_path / "full"
+        run_training(config, labeled, unlabeled, out_dir=full_dir)
+
+        split_dir = tmp_path / "split"
+        run_training(config, labeled, unlabeled, out_dir=split_dir, stop_after=9)
+        lines = (full_dir / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        with open(split_dir / "metrics.jsonl", "ab") as handle:
+            # Iteration 9's line, written whole, then 10's cut short.
+            handle.write(lines[9] + lines[10][:17])
+        run_training(config, labeled, unlabeled, out_dir=split_dir, resume=True)
+        for name in ("metrics.jsonl", "checkpoint.bin", "config.ini"):
+            assert (split_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
+
+    def test_resume_refuses_metrics_missing_iterations(self, tmp_path):
+        config = tiny_run_config()
+        labeled, unlabeled = make_datasets(config)
+        run_dir = tmp_path / "run"
+        run_training(config, labeled, unlabeled, out_dir=run_dir, stop_after=6)
+        lines = (run_dir / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        (run_dir / "metrics.jsonl").write_bytes(b"".join(lines[3:]))
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        with pytest.raises(ValueError, match=r"metrics.jsonl does not hold iterations 0\.\.5$"):
+            run_training(config, labeled, unlabeled, out_dir=run_dir, resume=True)
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_streams_are_synced_before_each_checkpoint(self, tmp_path, monkeypatch):
+        # A power loss must not leave a checkpoint ahead of the records a
+        # resume keeps: each stream's appended bytes reach the disk before
+        # the checkpoint is renamed into place.  A stop on a checkpoint
+        # iteration writes that checkpoint once.
+        import os
+
+        config = tiny_run_config()
+        labeled, unlabeled = make_datasets(config)
+        run_dir = tmp_path / "run"
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            inode = os.fstat(fd).st_ino
+            names = [p.name for p in run_dir.iterdir() if p.stat().st_ino == inode]
+            events.append(("fsync", names[0] if names else "dir"))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        run_training(config, labeled, unlabeled, out_dir=run_dir, checkpoint_every=5, dump_pseudo=True, stop_after=10)
+        created = [
+            event
+            for name in ("config.ini", "metrics.jsonl", "pseudo.jsonl")
+            for event in (("fsync", f"{name}.tmp"), ("replace", name), ("fsync", "dir"))
+        ]
+        checkpoint = [
+            ("fsync", "metrics.jsonl"),
+            ("fsync", "pseudo.jsonl"),
+            ("fsync", "checkpoint.bin.tmp"),
+            ("replace", "checkpoint.bin"),
+            ("fsync", "dir"),
+        ]
+        assert events == created + checkpoint + checkpoint
 
     def test_resume_rejects_config_mismatch(self, tmp_path):
         config = tiny_run_config()
@@ -824,7 +892,7 @@ class TestCheckpointing:
                 labeled,
                 unlabeled,
                 out_dir=tmp_path / "run",
-                resume_from=tmp_path / "run" / "checkpoint.bin",
+                resume=True,
             )
 
     def test_metrics_file_valid_json(self, tmp_path):
