@@ -19,8 +19,8 @@ The package is organised around a small set of numerical contracts:
   gradients, small enough to train on one core.
 - :mod:`orientsemi.training` -- burn-in + EMA teacher-student loop, the
   two unsupervised losses (one signature: model, outputs, pairs, config),
-  the shared head-error block, sampler dispatch, pseudo-label records,
-  checkpoints, and the run directory.
+  the shared head-error block, sampler dispatch, a step's pseudo-label
+  record per unlabeled view, checkpoints, and the run directory it owns.
 - :mod:`orientsemi.evaluation` -- rotated-box mAP.
 - :mod:`orientsemi.cli` -- command line entry points, the documented
   interface.

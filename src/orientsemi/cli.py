@@ -149,7 +149,6 @@ def cmd_eval(args) -> int:
     result["dataset"] = str(args.dataset)
     result["model"] = model
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         write_records(args.out, [result])
     _emit(result)
     return 0
@@ -173,7 +172,6 @@ def cmd_dump_pseudo(args) -> int:
         pairs = sample_pairs(prediction, config, rng)
         records.append(pseudo_record(state.iteration, dataset.scenes[i].scene_id, False, pairs))
     out = args.out or output_root() / "pseudo.jsonl"
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
     n = write_records(out, records)
     _emit(
         {
@@ -257,7 +255,6 @@ def cmd_ot_bench(args) -> int:
                 record["lp_abs_diff"] = abs(solution.cost_value - lp_cost)
             records.append(record)
     out = args.out or output_root() / "ot_bench.jsonl"
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
     write_records(out, records)
     _emit(
         {
@@ -291,7 +288,6 @@ def cmd_iou_curves(args) -> int:
             }
         )
     out = args.out or output_root() / "iou_curves.jsonl"
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
     write_records(out, records)
     _emit(
         {

@@ -15,7 +15,7 @@ so the result is independent of input ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,7 +130,6 @@ def evaluate_map(
     detections_per_scene: Sequence[Sequence[Detection]],
     scenes: Sequence,
     thresholds: Sequence[float] = FULL_THRESHOLDS,
-    num_classes: Optional[int] = None,
 ) -> dict:
     """Mean average precision over classes and IoU thresholds.
 
@@ -150,14 +149,13 @@ def evaluate_map(
         raise ValueError(
             f"{len(detections_per_scene)} detection lists for {len(scenes)} scenes"
         )
-    if num_classes is None:
-        num_classes = 0
-        for scene in scenes:
-            if len(scene.classes):
-                num_classes = max(num_classes, int(scene.classes.max()) + 1)
-        for dets in detections_per_scene:
-            for det in dets:
-                num_classes = max(num_classes, det.class_index + 1)
+    num_classes = 0
+    for scene in scenes:
+        if len(scene.classes):
+            num_classes = max(num_classes, int(scene.classes.max()) + 1)
+    for dets in detections_per_scene:
+        for det in dets:
+            num_classes = max(num_classes, det.class_index + 1)
 
     by_class_dets: dict[int, list[tuple[int, int, Detection]]] = {k: [] for k in range(num_classes)}
     by_class_gt: dict[int, list[tuple[int, RotatedBox]]] = {k: [] for k in range(num_classes)}

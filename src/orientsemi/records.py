@@ -55,7 +55,9 @@ def write_atomic(path: Path, data: bytes) -> None:
 
 def write_records(path: Path, records: Sequence[dict]) -> int:
     """Replace ``path`` by ``records`` as canonical JSONL through
-    :func:`write_atomic`; returns the number written."""
+    :func:`write_atomic`, creating its parent directory; returns the
+    number written."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, _lines(records))
     return len(records)
 

@@ -228,13 +228,6 @@ def _assemble(teacher: DensePrediction, iy: np.ndarray, ix: np.ndarray, provenan
     )
 
 
-def _check_grids(teacher: DensePrediction, student: DensePrediction) -> None:
-    if teacher.grid_shape != student.grid_shape:
-        raise ValueError(
-            f"grid mismatch: teacher {teacher.grid_shape}, student {student.grid_shape}"
-        )
-
-
 def build_pairs(
     teacher: DensePrediction,
     student: DensePrediction,
@@ -246,7 +239,8 @@ def build_pairs(
     Teacher and student must share a grid; the student is read only for
     that check.  The rng is consumed only by the in-box ratio sampling.
     """
-    _check_grids(teacher, student)
+    if teacher.grid_shape != student.grid_shape:
+        raise ValueError(f"grid mismatch: teacher {teacher.grid_shape}, student {student.grid_shape}")
     kept_boxes, _ = candidate_detections(teacher, config)
     easy_iy, easy_ix, foreground = sample_easy(teacher, kept_boxes, config.sample_ratio, rng)
     hard_iy, hard_ix = mine_hard(teacher, foreground, config.hard_iou_threshold, config.max_hard)
@@ -263,7 +257,6 @@ def build_pairs(
 
 def topk_pairs(
     teacher: DensePrediction,
-    student: DensePrediction,
     k: int,
     score_floor: float = 0.05,
 ) -> PseudoLabelSet:
@@ -273,7 +266,6 @@ def topk_pairs(
     row-major order.  Used as the comparison point for the ratio
     sampler.
     """
-    _check_grids(teacher, student)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     max_scores = teacher.class_scores.max(axis=2)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import expit
 
 from orientsemi.config import RunConfig, save_ini
-from orientsemi.consistency import ngc_loss
+from orientsemi.consistency import NgcResult, ngc_loss
 from orientsemi.detector import (
     DIRECTION_EPS,
     NUM_EXTRA_HEADS,
@@ -417,9 +417,9 @@ def consistency_loss(
     pairs: PseudoLabelSet,
     config: RunConfig,
     rng: np.random.Generator,
-) -> tuple[float, np.ndarray, dict]:
-    """Global consistency term and its gradient via the student's class
-    logits at the paired positions.
+) -> tuple[float, np.ndarray, NgcResult]:
+    """Global consistency term, its gradient via the student's class
+    logits at the paired positions, and the term breakdown.
 
     Raises ``RuntimeError`` if either transport solve does not converge
     (see :func:`orientsemi.consistency.ngc_loss`).
@@ -427,27 +427,21 @@ def consistency_loss(
     n_pairs = len(pairs)
     zero = np.zeros_like(params.weights)
     if n_pairs == 0:
-        return 0.0, zero, {"gated": True, "loss_gc": 0.0, "loss_gc_noisy": 0.0, "loss_plan": 0.0}
+        return 0.0, zero, NgcResult(0.0, np.zeros(0), gated=True, loss_gc=0.0, loss_gc_noisy=0.0, loss_plan=0.0)
     cols = pairs.iy * config.scene.width + pairs.ix
     cls_idx = pairs.class_index
     rows = np.arange(n_pairs)
     # Student score is sigmoid(logit) at the teacher's class.
     p_pair = expit(raw[cls_idx, cols])
     result = ngc_loss(pairs.xy(), pairs.score_rows[rows, cls_idx], p_pair, config, rng)
-    diag = {
-        "gated": result.gated,
-        "loss_gc": result.loss_gc,
-        "loss_gc_noisy": result.loss_gc_noisy,
-        "loss_plan": result.loss_plan,
-    }
     if result.gated:
-        return 0.0, zero, diag
+        return 0.0, zero, result
     # Chain: score = sigmoid(z), d score/dz = p * (1 - p).
     d_z = result.grad_scores * p_pair * (1.0 - p_pair)
     d_cols = np.zeros((raw.shape[0], n_pairs))
     d_cols[cls_idx, rows] = d_z
     grad = d_cols @ features.T[cols]
-    return result.loss, grad, diag
+    return result.loss, grad, result
 
 
 def sample_pairs(teacher: DensePrediction, config: RunConfig, rng: np.random.Generator) -> PseudoLabelSet:
@@ -456,7 +450,7 @@ def sample_pairs(teacher: DensePrediction, config: RunConfig, rng: np.random.Gen
     the teacher only; the student's views share its grid."""
     if config.semi.sampler == "sids":
         return build_pairs(teacher, teacher, config.sampler_config(), rng)
-    return topk_pairs(teacher, teacher, config.semi.topk, config.semi.score_floor)
+    return topk_pairs(teacher, config.semi.topk, config.semi.score_floor)
 
 
 def pseudo_record(iteration: int, scene_id: int, flip: bool, pairs: PseudoLabelSet) -> dict:
@@ -545,15 +539,12 @@ class Trainer:
         self._teacher_raw = np.empty(heads)
         self._student_raw = np.empty(heads)
         self._supervised = SupervisedWorkspace.for_grid(num_classes, *features)
-        # (scene_id, flip, pairs) per unlabeled view of the last step.
-        self.last_pairs: list[tuple[int, bool, PseudoLabelSet]] = []
 
-    def features_for(self, index: int, flip: bool) -> tuple[SyntheticScene, np.ndarray]:
-        """Labeled scene ``index`` and its float64 feature matrix, both
-        flipped if ``flip``.  The flipped matrix is mirrored
+    def features_for(self, index: int, flip: bool) -> np.ndarray:
+        """The float64 feature matrix of labeled scene ``index``, flipped
+        if ``flip``.  The flipped matrix is mirrored
         (:func:`~orientsemi.detector.mirror_features`) into a buffer that
         the next flipped lookup overwrites."""
-        scene = self.labeled.scenes[index]
         features = self._features.get(index)
         if features is None:
             features = extract_features(self.labeled.channels(index)).astype(np.float64)
@@ -565,9 +556,9 @@ class Trainer:
         else:
             self._features.move_to_end(index)
         if not flip:
-            return scene, features
-        mirrored = mirror_features(features, self.config.scene.num_channels, scene.width, out=self._mirrored)
-        return flip_ground_truth(scene), mirrored
+            return features
+        scene = self.config.scene
+        return mirror_features(features, scene.num_channels, scene.width, out=self._mirrored)
 
     def unlabeled_views(
         self, index: int, flip: bool, rng: np.random.Generator
@@ -588,11 +579,16 @@ class Trainer:
         np.copyto(self._strong, extract_features(strong))
         return scene, self._weak, self._strong
 
-    def targets_for(self, index: int, flip: bool, scene: SyntheticScene) -> SupervisedTargets:
+    def targets_for(self, index: int, flip: bool) -> SupervisedTargets:
+        """Supervised targets of labeled scene ``index``, from its ground
+        truth flipped if ``flip``; built once per (scene, flip)."""
         key = (index, flip)
         if key not in self._targets:
+            scene = self.labeled.scenes[index]
             cfg = self.config.scene
-            self._targets[key] = build_supervised_targets(scene, cfg.height, cfg.width)
+            self._targets[key] = build_supervised_targets(
+                flip_ground_truth(scene) if flip else scene, cfg.height, cfg.width
+            )
         return self._targets[key]
 
     def train_step(
@@ -600,8 +596,10 @@ class Trainer:
         state: TrainState,
         labeled_indices: Sequence[int],
         unlabeled_indices: Sequence[int],
-    ) -> dict:
-        """One SGD step; returns the metrics record for this iteration.
+    ) -> tuple[dict, list[dict]]:
+        """One SGD step; returns the metrics record for this iteration and
+        the :func:`pseudo_record` of each unlabeled view, whose pair counts
+        the record sums.
 
         Consumes state.rng in a fixed order: per labeled image a flip
         and the quality-head subsample; per unlabeled image a shared
@@ -617,8 +615,8 @@ class Trainer:
         loss_s = 0.0
         for index in labeled_indices:
             flip = bool(rng.random() < semi.flip_probability)
-            scene_f, features = self.features_for(int(index), flip)
-            targets = self.targets_for(int(index), flip, scene_f)
+            features = self.features_for(int(index), flip)
+            targets = self.targets_for(int(index), flip)
             loss_i, grad_i, _ = supervised_loss(
                 state.student,
                 features,
@@ -631,15 +629,8 @@ class Trainer:
             loss_s += loss_i / len(labeled_indices)
             grad += grad_i / len(labeled_indices)
 
-        loss_gaw = 0.0
-        loss_ngc = 0.0
-        loss_gc = 0.0
-        loss_gc_noisy = 0.0
-        loss_plan = 0.0
-        n_pairs = 0
-        n_easy = 0
-        n_hard = 0
-        self.last_pairs = []
+        unsup = dict.fromkeys(("loss_gaw", "loss_ngc", "loss_gc", "loss_gc_noisy", "loss_plan"), 0.0)
+        views = []
         use_unsup = state.teacher is not None and not semi.supervised_only
         if use_unsup and unlabeled_indices:
             w = semi.unsup_weight
@@ -652,24 +643,19 @@ class Trainer:
                 student_raw = forward(state.student, strong_features, out=self._student_raw)
                 pairs = sample_pairs(teacher_pred, config, rng)
                 gaw_i, gaw_grad, _ = weighted_pair_loss(state.student, student_raw, strong_features, pairs, config)
-                loss_gaw += w * gaw_i / batch
                 grad += (w / batch) * gaw_grad
-
+                terms = {"loss_gaw": gaw_i}
                 if semi.enable_ngc:
-                    ngc_i, ngc_grad, diag = consistency_loss(
+                    ngc_i, ngc_grad, ngc = consistency_loss(
                         state.student, student_raw, strong_features, pairs, config, rng
                     )
-                    loss_ngc += w * ngc_i / batch
-                    loss_gc += w * diag["loss_gc"] / batch
-                    loss_gc_noisy += w * diag["loss_gc_noisy"] / batch
-                    loss_plan += w * diag["loss_plan"] / batch
                     grad += (w / batch) * ngc_grad
-
-                n_pairs += len(pairs)
-                easy = int(np.count_nonzero(pairs.provenance == PROVENANCE_EASY))
-                n_easy += easy
-                n_hard += len(pairs) - easy
-                self.last_pairs.append((scene.scene_id, flip, pairs))
+                    terms.update(
+                        loss_ngc=ngc_i, loss_gc=ngc.loss_gc, loss_gc_noisy=ngc.loss_gc_noisy, loss_plan=ngc.loss_plan
+                    )
+                for name, value in terms.items():
+                    unsup[name] += w * value / batch
+                views.append(pseudo_record(state.iteration, scene.scene_id, flip, pairs))
 
         lr = learning_rate_at(config, state.iteration)
         grad += semi.weight_decay * state.student.weights
@@ -677,7 +663,7 @@ class Trainer:
         if not math.isfinite(grad_norm):
             raise FloatingPointError(
                 f"iteration {state.iteration}: gradient norm is {grad_norm!r} "
-                f"(loss_s={loss_s!r}, loss_gaw={loss_gaw!r}, loss_ngc={loss_ngc!r}); "
+                f"(loss_s={loss_s!r}, loss_gaw={unsup['loss_gaw']!r}, loss_ngc={unsup['loss_ngc']!r}); "
                 "weights left unchanged"
             )
         if semi.grad_clip > 0.0 and grad_norm > semi.grad_clip:
@@ -698,19 +684,13 @@ class Trainer:
         metrics = {
             "iter": state.iteration - 1,
             "lr": lr,
-            "loss_total": loss_s + loss_gaw + loss_ngc,
+            "loss_total": loss_s + unsup["loss_gaw"] + unsup["loss_ngc"],
             "loss_s": loss_s,
-            "loss_gaw": loss_gaw,
-            "loss_ngc": loss_ngc,
-            "loss_gc": loss_gc,
-            "loss_gc_noisy": loss_gc_noisy,
-            "loss_plan": loss_plan,
-            "n_pairs": n_pairs,
-            "n_easy": n_easy,
-            "n_hard": n_hard,
+            **unsup,
+            **{count: sum(view[count] for view in views) for count in ("n_pairs", "n_easy", "n_hard")},
             "grad_norm": grad_norm,
         }
-        return metrics
+        return metrics, views
 
 
 def save_checkpoint(path: Path, state: TrainState) -> None:
@@ -827,33 +807,32 @@ def run_training(
     config: RunConfig,
     labeled,
     unlabeled=None,
-    out_dir: Optional[Path] = None,
+    *,
+    out_dir: Path,
     resume: bool = False,
     checkpoint_every: int = 0,
     dump_pseudo: bool = False,
     stop_after: Optional[int] = None,
 ) -> tuple[TrainState, list[dict]]:
-    """Drive the full loop; with ``out_dir``, own that run directory.
+    """Drive the full loop in the run directory ``out_dir``, which it owns.
 
     Every check runs before the first write: :func:`check_run`, and with
     ``resume`` that ``out_dir/checkpoint.bin`` loads, holds ``config``
     and follows one ``metrics.jsonl`` record per earlier iteration.  Then
     ``config.ini`` is written, and ``metrics.jsonl`` (and with
     ``dump_pseudo`` ``pseudo.jsonl``) created empty, or on resume cut
-    back to its whole records before the checkpoint's iteration.  Each
-    checkpoint (every ``checkpoint_every`` iterations, and at the end)
-    appends and syncs the new records, then writes ``checkpoint.bin``,
-    so a resumed run ends byte-identical to an uninterrupted one.
+    back to its whole records before the checkpoint's iteration; a fresh
+    run without ``dump_pseudo`` removes an earlier ``pseudo.jsonl``.
+    Each checkpoint (every ``checkpoint_every`` iterations, and at the
+    end) appends and syncs the new records, then writes
+    ``checkpoint.bin``, so a resumed run ends byte-identical to an
+    uninterrupted one.
     ``stop_after`` halts below the configured total, which models an
     interrupted run.
     """
-    if resume and out_dir is None:
-        raise ValueError("resume continues the run in out_dir; none was given")
     check_run(config, labeled, unlabeled)
-    streams: dict[str, Sequence[bytes]] = {}
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        streams = dict.fromkeys(("metrics", "pseudo") if dump_pseudo else ("metrics",), ())
+    out_dir = Path(out_dir)
+    streams: dict[str, Sequence[bytes]] = dict.fromkeys(("metrics", "pseudo") if dump_pseudo else ("metrics",), ())
     if resume:
         state = load_checkpoint(out_dir / "checkpoint.bin")
         if state.config.to_dict() != config.to_dict():
@@ -863,11 +842,12 @@ def run_training(
             raise ValueError(f"{out_dir / 'metrics.jsonl'} does not hold iterations 0..{state.iteration - 1}")
     else:
         state = init_state(config)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_ini(config, out_dir / "config.ini")
-        for name, kept in streams.items():
-            write_atomic(out_dir / f"{name}.jsonl", b"".join(kept))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_ini(config, out_dir / "config.ini")
+    for name, kept in streams.items():
+        write_atomic(out_dir / f"{name}.jsonl", b"".join(kept))
+    if not (resume or dump_pseudo):
+        (out_dir / "pseudo.jsonl").unlink(missing_ok=True)
     pending: dict[str, list[dict]] = {name: [] for name in streams}
 
     def write_outputs() -> None:
@@ -885,25 +865,14 @@ def run_training(
     last_iter = semi.total_iters if stop_after is None else min(stop_after, semi.total_iters)
     while state.iteration < last_iter:
         labeled_idx = state.rng.integers(0, n_labeled, size=semi.labeled_batch)
-        use_unsup = (
-            not semi.supervised_only and state.teacher is not None and n_unlabeled > 0
-        )
-        unlabeled_idx = (
-            state.rng.integers(0, n_unlabeled, size=semi.unlabeled_batch) if use_unsup else []
-        )
-        record = trainer.train_step(state, labeled_idx, unlabeled_idx)
+        use_unsup = not semi.supervised_only and state.teacher is not None and n_unlabeled > 0
+        unlabeled_idx = state.rng.integers(0, n_unlabeled, size=semi.unlabeled_batch) if use_unsup else []
+        record, views = trainer.train_step(state, labeled_idx, unlabeled_idx)
         all_metrics.append(record)
-        if "metrics" in pending:
-            pending["metrics"].append(record)
-        if "pseudo" in pending:
-            pending["pseudo"] += [pseudo_record(record["iter"], *view) for view in trainer.last_pairs]
-        if (
-            out_dir is not None
-            and checkpoint_every > 0
-            and state.iteration % checkpoint_every == 0
-            and state.iteration < last_iter
-        ):
+        pending["metrics"].append(record)
+        if dump_pseudo:
+            pending["pseudo"] += views
+        if checkpoint_every > 0 and state.iteration % checkpoint_every == 0 and state.iteration < last_iter:
             write_outputs()
-    if out_dir is not None:
-        write_outputs()
+    write_outputs()
     return state, all_metrics

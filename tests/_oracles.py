@@ -380,7 +380,7 @@ class PerViewFloat32Trainer(Trainer):
         return self._per_view[key]
 
     def features_for(self, index, flip):
-        return self._view(self.labeled, index, flip)
+        return self._view(self.labeled, index, flip)[1]
 
     def unlabeled_views(self, index, flip, rng):
         scene, weak = self._view(self.unlabeled, index, flip)

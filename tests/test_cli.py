@@ -374,6 +374,19 @@ class TestErrorPath:
         assert errors[-1]["error"] == "FileNotFoundError"
         assert not any(out.iterdir())
 
+    def test_fresh_run_without_dump_pseudo_removes_earlier_pseudo(self, datasets, tmp_path, capsys):
+        # The run directory must not pair one run's config and metrics
+        # with another run's pseudo-labels.
+        out = tmp_path / "train"
+        argv = ["train", "--labeled", str(datasets / "lab"), "--unlabeled", str(datasets / "unlab"),
+                "--out", str(out)] + TINY_TRAIN + ["--set", "semi.total_iters=6"]
+        assert main(argv + ["--dump-pseudo"]) == 0
+        assert (out / "pseudo.jsonl").read_text()
+        assert main(argv + ["--set", "semi.seed=5"]) == 0
+        capsys.readouterr()
+        assert "seed = 5" in (out / "config.ini").read_text()
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.bin", "config.ini", "metrics.jsonl"]
+
 
 class TestRecords:
     def test_write_read_round_trip(self, tmp_path):
@@ -381,6 +394,11 @@ class TestRecords:
         records = [{"b": 2, "a": 1}, {"x": [1, 2]}]
         assert write_records(path, records) == 2
         assert list(read_records(path)) == records
+
+    def test_write_records_creates_parent_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "r.jsonl"
+        assert write_records(path, [{"a": 1}]) == 1
+        assert list(read_records(path)) == [{"a": 1}]
 
     def test_canonical_form_is_sorted_and_compact(self, tmp_path):
         path = tmp_path / "c.jsonl"

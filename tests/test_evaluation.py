@@ -203,7 +203,7 @@ class TestEvaluateMap:
         # lower-indexed one, which leaves the next detection unmatched.
         scenes.append(make_scene([[10, 10, 8, 4, 0], [14, 10, 8, 4, 0]], [1, 1], 64))
         detections.append([Detection(RotatedBox(12, 10, 8, 4, 0), 0.95, 1), Detection(RotatedBox(9, 10, 8, 4, 0), 0.95, 1)])
-        report = evaluate_map(detections, scenes, num_classes=3)
+        report = evaluate_map(detections, scenes)
         assert set(report["per_class_ap"]["0.50"]) == {"0", "1", "2"}
         assert report["per_class_ap"] == scalar_per_class_ap(detections, scenes, FULL_THRESHOLDS)
         assert 0.0 < report["map50_95"] < report["map50"] < 1.0
@@ -215,7 +215,7 @@ class TestEvaluateMap:
             Detection(box=gt, score=0.9, class_index=0),
             Detection(box=RotatedBox(20.0, 20.0, 5.0, 2.0, 0.0), score=0.8, class_index=2),
         ]
-        result = evaluate_map([dets], [scene], thresholds=[0.5], num_classes=3)
+        result = evaluate_map([dets], [scene], thresholds=[0.5])
         # Class 2 has no ground truth anywhere: its false positive must
         # not drag the mean down.
         assert result["map50"] == pytest.approx(1.0, abs=1e-12)

@@ -347,9 +347,8 @@ class TestBuildPairs:
 class TestTopkPairs:
     def test_topk_count(self):
         teacher = blank_prediction()
-        student = blank_prediction()
         paint_instance(teacher, RotatedBox(16.0, 16.0, 10.0, 8.0, 0.0), cls=0, score=0.9)
-        pairs = topk_pairs(teacher, student, k=5)
+        pairs = topk_pairs(teacher, k=5)
         assert len(pairs) == 5
         # All selected scores at least as high as any unselected one.
         max_scores = teacher.class_scores.max(axis=2)
@@ -359,9 +358,9 @@ class TestTopkPairs:
         assert chosen.min() >= max_scores[mask].max()
 
     def test_floor_limits_take(self):
-        teacher, student = blank_prediction(), blank_prediction()
+        teacher = blank_prediction()
         teacher.class_scores[4, 4, 0] = 0.6
-        pairs = topk_pairs(teacher, student, k=50)
+        pairs = topk_pairs(teacher, k=50)
         assert len(pairs) == 1
 
 
@@ -386,7 +385,7 @@ class TestPairRecord:
 
     SAMPLERS = {
         "sids": lambda pred: build_pairs(pred, pred, SamplerConfig(max_hard=20), np.random.default_rng(0)),
-        "topk": lambda pred: topk_pairs(pred, pred, k=40),
+        "topk": lambda pred: topk_pairs(pred, k=40),
         "empty": lambda pred: build_pairs(
             pred, pred, SamplerConfig(score_floor=1.0, hard_iou_threshold=1.0), np.random.default_rng(0)
         ),

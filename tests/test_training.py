@@ -376,8 +376,8 @@ class TestConsistencyLoss:
     def test_gated_below_threshold(self):
         run, det, params, raw, features, pairs = build_test_pairs(seed=2)
         run.tab1.global_threshold = len(pairs) + 1
-        loss, grad, diag = consistency_loss(params, raw, features, pairs, run, np.random.default_rng(0))
-        assert diag["gated"] is True
+        loss, grad, ngc = consistency_loss(params, raw, features, pairs, run, np.random.default_rng(0))
+        assert ngc.gated is True
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -424,8 +424,8 @@ class TestConsistencyLoss:
         run, det, params, raw, features, pairs = build_test_pairs(seed=3)
         assert len(pairs) >= 5
         run.tab1.global_threshold = min(len(pairs), 5)
-        loss, grad, diag = consistency_loss(params, raw, features, pairs, run, np.random.default_rng(4))
-        assert diag["gated"] is False
+        loss, grad, ngc = consistency_loss(params, raw, features, pairs, run, np.random.default_rng(4))
+        assert ngc.gated is False
         k = params.num_classes
         cols = pairs.iy * run.scene.width + pairs.ix
         cidx = pairs.class_index
@@ -438,7 +438,7 @@ class TestConsistencyLoss:
         d_cols[cidx, rows] = d_z
         np.testing.assert_allclose(grad, d_cols @ features[:, cols].T, rtol=1e-12, atol=1e-15)
 
-    def test_unconverged_solve_raises(self):
+    def test_unconverged_solve_raises(self, tmp_path):
         # One Sinkhorn iteration cannot meet the tolerance on a scene with
         # several pairs; the run must stop rather than apply that gradient.
         config = tiny_run_config(ot_max_iters=1)
@@ -446,7 +446,7 @@ class TestConsistencyLoss:
         labeled, unlabeled = make_datasets(config)
         message = r"n=\d+ pairs did not converge: 1 iterations, marginal error"
         with pytest.raises(RuntimeError, match=message):
-            run_training(config, labeled, unlabeled)
+            run_training(config, labeled, unlabeled, out_dir=tmp_path)
 
 
 class TestSchedule:
@@ -493,7 +493,7 @@ class TestTrainingRuns:
     def test_metrics_decompose_exactly(self, tmp_path):
         config = tiny_run_config()
         labeled, unlabeled = make_datasets(config)
-        _, metrics = run_training(config, labeled, unlabeled)
+        _, metrics = run_training(config, labeled, unlabeled, out_dir=tmp_path)
         assert len(metrics) == config.semi.total_iters
         for record in metrics:
             assert record["loss_total"] == pytest.approx(
@@ -504,26 +504,26 @@ class TestTrainingRuns:
             )
             assert record["n_pairs"] == record["n_easy"] + record["n_hard"]
 
-    def test_supervised_only_never_builds_teacher(self):
+    def test_supervised_only_never_builds_teacher(self, tmp_path):
         config = tiny_run_config(supervised_only=True)
         labeled, unlabeled = make_datasets(config)
-        state, metrics = run_training(config, labeled, unlabeled)
+        state, metrics = run_training(config, labeled, unlabeled, out_dir=tmp_path)
         assert state.teacher is None
         assert all(r["loss_gaw"] == 0.0 and r["n_pairs"] == 0 for r in metrics)
 
-    def test_topk_sampler_runs(self):
+    def test_topk_sampler_runs(self, tmp_path):
         config = tiny_run_config(sampler="topk", topk=32)
         labeled, unlabeled = make_datasets(config)
-        _, metrics = run_training(config, labeled, unlabeled)
+        _, metrics = run_training(config, labeled, unlabeled, out_dir=tmp_path)
         post = [r for r in metrics if r["iter"] >= config.semi.burn_in_iters]
         assert any(r["n_pairs"] > 0 for r in post)
         assert all(r["n_pairs"] <= 32 for r in post)
 
-    def test_identical_seeds_identical_runs(self):
+    def test_identical_seeds_identical_runs(self, tmp_path):
         config = tiny_run_config()
         labeled, unlabeled = make_datasets(config)
-        state_a, metrics_a = run_training(config, labeled, unlabeled)
-        state_b, metrics_b = run_training(config, labeled, unlabeled)
+        state_a, metrics_a = run_training(config, labeled, unlabeled, out_dir=tmp_path / "a")
+        state_b, metrics_b = run_training(config, labeled, unlabeled, out_dir=tmp_path / "b")
         np.testing.assert_array_equal(state_a.student.weights, state_b.student.weights)
         assert metrics_a == metrics_b
 
@@ -532,7 +532,7 @@ class TestTrainingRuns:
         labeled, unlabeled = make_datasets(config)
         trainer = Trainer(config, labeled, unlabeled)
         state = init_state(config)
-        _, features = trainer.features_for(0, False)
+        features = trainer.features_for(0, False)
         features[0, 0] = np.nan  # poisons the cached feature matrix in place
         weights = state.student.weights.copy()
         momentum = state.momentum_buffer.copy()
@@ -542,6 +542,42 @@ class TestTrainingRuns:
         np.testing.assert_array_equal(state.student.weights, weights)
         np.testing.assert_array_equal(state.momentum_buffer, momentum)
         assert state.iteration == 0
+
+    def test_step_record_sums_its_views(self):
+        config = tiny_run_config(flip_probability=0.5)
+        labeled, unlabeled = make_datasets(config)
+        trainer = Trainer(config, labeled, unlabeled)
+        state = init_state(config)
+        state.teacher = state.student.copy()
+        record, views = trainer.train_step(state, [0], [1, 0])
+        assert [view["scene_id"] for view in views] == [unlabeled.scenes[1].scene_id, unlabeled.scenes[0].scene_id]
+        assert all(view["iter"] == record["iter"] == 0 for view in views)
+        for count in ("n_pairs", "n_easy", "n_hard"):
+            assert record[count] == sum(view[count] for view in views)
+        assert record["n_pairs"] > 0
+
+
+class TestUnlabeledIndexDefect:
+    """``train_step`` guards its unlabeled branch with the truth value of
+    the index array that ``run_training`` draws.  Both tests fail while
+    that guard stands and pass once it tests the array's length."""
+
+    @pytest.mark.xfail(raises=ValueError, strict=True, reason="truth value of a two-element index array")
+    def test_unlabeled_batch_of_two_trains(self, tmp_path):
+        config = tiny_run_config(unlabeled_batch=2)
+        labeled, unlabeled = make_datasets(config)
+        _, metrics = run_training(config, labeled, unlabeled, out_dir=tmp_path)
+        assert len(metrics) == config.semi.total_iters
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="the index array [0] is false")
+    def test_unlabeled_index_zero_runs_its_view(self):
+        config = tiny_run_config()
+        labeled, unlabeled = make_datasets(config)
+        trainer = Trainer(config, labeled, unlabeled)
+        state = init_state(config)
+        state.teacher = state.student.copy()
+        _, views = trainer.train_step(state, [0], np.array([0]))
+        assert len(views) == 1
 
 
 class TestFeaturePath:
@@ -580,7 +616,7 @@ class TestFeaturePath:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            record = trainer.train_step(state, [0, 1], unlabeled_idx)
+            record, _ = trainer.train_step(state, [0, 1], unlabeled_idx)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -655,13 +691,14 @@ class TestSplitChecks:
             run_training(config, labeled, InMemoryScenes([]), out_dir=tmp_path)
         assert not (tmp_path / "metrics.jsonl").exists()
 
-    def test_config_mutated_in_code_is_checked(self):
+    def test_config_mutated_in_code_is_checked(self, tmp_path):
         # The sampler reads score_floor only after burn-in; the check must
         # not wait for it.
         config = tiny_run_config(score_floor=2.0)
         labeled, unlabeled = make_datasets(config)
         with pytest.raises(ValueError, match="score_floor"):
-            run_training(config, labeled, unlabeled, stop_after=1)
+            run_training(config, labeled, unlabeled, out_dir=tmp_path, stop_after=1)
+        assert not (tmp_path / "metrics.jsonl").exists()
 
 
 class TestCheckpointing:
