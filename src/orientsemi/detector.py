@@ -65,8 +65,10 @@ class DetectorConfig:
         return 3 * num_channels + 4
 
 
-def extract_features(channels: np.ndarray) -> np.ndarray:
-    """Feature matrix (F, H*W) float32 from a (C, H, W) channel stack.
+def extract_features(channels: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Feature matrix (F, H*W) float32 from a (C, H, W) channel stack,
+    written row by row into ``out`` (a C-contiguous (F, H*W) float32
+    array) if given, else into a new one.
 
     Rows: C raw channels, C three-cell means, C seven-cell means, two
     wide luminance means (15, 31), luminance gradient magnitude, ones.
@@ -75,18 +77,25 @@ def extract_features(channels: np.ndarray) -> np.ndarray:
     """
     channels = np.asarray(channels, dtype=np.float32)
     c, h, w = channels.shape
+    shape = (3 * c + 4, h * w)
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise ValueError(f"out is {out.dtype} {out.shape}, expected C-contiguous float32 {shape}")
+    stack = out.reshape(-1, h, w)
     lum = channels[c - 3]
-    rows = [channels]
-    for size in (3, 7):
-        rows.append(uniform_filter(channels, size=(1, size, size), mode="nearest"))
-    wide = np.empty((2, h, w), dtype=np.float32)
-    wide[0] = uniform_filter(lum, size=15, mode="nearest")
-    wide[1] = uniform_filter(lum, size=31, mode="nearest")
-    gy, gx = np.gradient(lum.astype(np.float32))
-    grad = np.sqrt(gx * gx + gy * gy, dtype=np.float32)[None]
-    ones = np.ones((1, h, w), dtype=np.float32)
-    stack = np.concatenate(rows + [wide, grad, ones], axis=0)
-    return stack.reshape(stack.shape[0], h * w)
+    stack[:c] = channels
+    for start, size in ((c, 3), (2 * c, 7)):
+        uniform_filter(channels, size=(1, size, size), mode="nearest", output=stack[start : start + c])
+    uniform_filter(lum, size=15, mode="nearest", output=stack[3 * c])
+    uniform_filter(lum, size=31, mode="nearest", output=stack[3 * c + 1])
+    gy, gx = np.gradient(lum)
+    np.multiply(gx, gx, out=gx)
+    np.multiply(gy, gy, out=gy)
+    np.add(gx, gy, out=gx)
+    np.sqrt(gx, out=stack[3 * c + 2])
+    stack[3 * c + 3] = 1.0
+    return out
 
 
 def mirror_features(

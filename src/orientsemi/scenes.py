@@ -490,7 +490,7 @@ class SceneDataset:
         index = self.root / "index.jsonl"
         if not index.exists():
             raise FileNotFoundError(f"no dataset at {self.root} (missing index.jsonl)")
-        self._records = [json.loads(line) for line in index.read_text().splitlines() if line]
+        records = [json.loads(line) for line in index.read_text().splitlines() if line]
         self.scenes = [
             SyntheticScene(
                 height=rec["height"],
@@ -500,8 +500,10 @@ class SceneDataset:
                 layout=rec["layout"],
                 scene_id=rec["scene_id"],
             )
-            for rec in self._records
+            for rec in records
         ]
+        # What channels() reads; the boxes live on in ``scenes``.
+        self._files = [(rec["file"], rec["height"], rec["width"]) for rec in records]
 
     def __len__(self) -> int:
         return len(self.scenes)
@@ -512,12 +514,11 @@ class SceneDataset:
         Raises ``ValueError`` naming the file if the stored array is not
         3-D float32 with the index record's height and width.
         """
-        record = self._records[i]
-        path = self.root / record["file"]
+        name, height, width = self._files[i]
+        path = self.root / name
         array = np.load(path)
-        if array.dtype != np.float32 or array.ndim != 3 or array.shape[1:] != (record["height"], record["width"]):
+        if array.dtype != np.float32 or array.ndim != 3 or array.shape[1:] != (height, width):
             raise ValueError(
-                f"{path}: channel stack is {array.dtype} {array.shape}, expected float32 "
-                f"(C, {record['height']}, {record['width']})"
+                f"{path}: channel stack is {array.dtype} {array.shape}, expected float32 (C, {height}, {width})"
             )
         return array

@@ -56,8 +56,9 @@ from orientsemi.scenes import SceneConfig, SyntheticScene, flip_ground_truth, fl
 from orientsemi.weighting import pair_weights
 
 CHECKPOINT_MAGIC = b"ORIENTSEMI-CKPT v1\n"
-# Feature matrices dominate run memory (22 rows x H*W float64), so the
-# cache is bounded by bytes rather than entry count.
+# Labeled feature matrices dominate run memory (22 rows x H*W float32,
+# 0.8 MB at 96x96), so the cache is bounded by bytes rather than entry
+# count: about 1,850 scenes of 96x96.
 _FEATURE_CACHE_BYTES = 1_500_000_000
 
 
@@ -513,13 +514,14 @@ class Trainer:
     """Binds a config to datasets and owns the per-run caches and the
     per-step arrays.
 
-    Each labeled scene's float64 feature matrix is memoised once, in an
-    LRU bounded by bytes; its flipped view is mirrored from it.
-    Supervised targets are memoised per (scene, flip).  Unlabeled scenes
-    are read once per step and not cached: drawn from a large pool, few
-    recur within a run.  Head outputs, their gradient and the views'
-    feature matrices are written into arrays allocated once per run,
-    which the next step overwrites.
+    Each labeled scene's feature matrix is memoised once, as the float32
+    array that :func:`~orientsemi.detector.extract_features` returns, in
+    an LRU bounded by bytes; a lookup casts it, or mirrors it for a flip,
+    into a float64 buffer.  Supervised targets are memoised per (scene,
+    flip).  Unlabeled scenes are read once per step and not cached: drawn
+    from a large pool, few recur within a run.  Head outputs, their
+    gradient and the views' feature matrices are written into arrays
+    allocated once per run, which the next step overwrites.
     """
 
     def __init__(self, config: RunConfig, labeled, unlabeled=None):
@@ -533,7 +535,9 @@ class Trainer:
         num_classes = config.scene.num_classes
         features = (config.detector.num_features(config.scene.num_channels), cells)
         heads = (num_classes + NUM_EXTRA_HEADS, cells)
+        self._unflipped = np.empty(features)
         self._mirrored = np.empty(features)
+        self._extracted = np.empty(features, dtype=np.float32)
         self._weak = np.empty(features)
         self._strong = np.empty(features)
         self._teacher_raw = np.empty(heads)
@@ -542,12 +546,12 @@ class Trainer:
 
     def features_for(self, index: int, flip: bool) -> np.ndarray:
         """The float64 feature matrix of labeled scene ``index``, flipped
-        if ``flip``.  The flipped matrix is mirrored
-        (:func:`~orientsemi.detector.mirror_features`) into a buffer that
-        the next flipped lookup overwrites."""
+        if ``flip``: the cached float32 matrix cast into a buffer, or for a
+        flip mirrored (:func:`~orientsemi.detector.mirror_features`) into
+        another.  The next lookup with the same ``flip`` overwrites it."""
         features = self._features.get(index)
         if features is None:
-            features = extract_features(self.labeled.channels(index)).astype(np.float64)
+            features = extract_features(self.labeled.channels(index))
             self._features[index] = features
             self._feature_bytes += features.nbytes
             while self._feature_bytes > _FEATURE_CACHE_BYTES and len(self._features) > 1:
@@ -556,7 +560,8 @@ class Trainer:
         else:
             self._features.move_to_end(index)
         if not flip:
-            return features
+            np.copyto(self._unflipped, features)
+            return self._unflipped
         scene = self.config.scene
         return mirror_features(features, scene.num_channels, scene.width, out=self._mirrored)
 
@@ -566,17 +571,18 @@ class Trainer:
         """Unlabeled scene ``index`` under the shared ``flip``, with the
         float64 feature matrices of its weak view (flip only) and its
         strong view (:func:`~orientsemi.scenes.strong_augment`, which
-        draws from ``rng``).  The channels are read once; the matrices
-        are buffers that the next call overwrites."""
+        draws from ``rng``).  The channels are read once; each view is
+        extracted into one float32 scratch and cast from it into its
+        float64 buffer, which the next call overwrites."""
         scene = self.unlabeled.scenes[index]
         channels = self.unlabeled.channels(index)
         if flip:
             scene, channels = flip_scene(scene, channels)
-        np.copyto(self._weak, extract_features(channels))
+        np.copyto(self._weak, extract_features(channels, out=self._extracted))
         # The weak view is flipped already; the strong view adds pixel
         # jitter and blur to it.
         _, strong, _ = strong_augment(scene, channels, rng, self.config.augment_config(), flip=False)
-        np.copyto(self._strong, extract_features(strong))
+        np.copyto(self._strong, extract_features(strong, out=self._extracted))
         return scene, self._weak, self._strong
 
     def targets_for(self, index: int, flip: bool) -> SupervisedTargets:
@@ -818,7 +824,8 @@ def run_training(
 
     Every check runs before the first write: :func:`check_run`, and with
     ``resume`` that ``out_dir/checkpoint.bin`` loads, holds ``config``
-    and follows one ``metrics.jsonl`` record per earlier iteration.  Then
+    and follows one ``metrics.jsonl`` record per earlier iteration, and
+    that ``out_dir/pseudo.jsonl`` exists exactly when ``dump_pseudo``.  Then
     ``config.ini`` is written, and ``metrics.jsonl`` (and with
     ``dump_pseudo`` ``pseudo.jsonl``) created empty, or on resume cut
     back to its whole records before the checkpoint's iteration; a fresh
@@ -837,6 +844,11 @@ def run_training(
         state = load_checkpoint(out_dir / "checkpoint.bin")
         if state.config.to_dict() != config.to_dict():
             raise ValueError("resume config does not match checkpoint config")
+        pseudo = out_dir / "pseudo.jsonl"
+        if dump_pseudo and not pseudo.exists():
+            raise ValueError(f"resume with dump_pseudo, but {pseudo} is missing: the run did not dump pseudo-labels")
+        if not dump_pseudo and pseudo.exists():
+            raise ValueError(f"resume without dump_pseudo, but {pseudo} exists: the run dumped pseudo-labels")
         streams = {name: _records_before(out_dir / f"{name}.jsonl", state.iteration) for name in streams}
         if [json.loads(line)["iter"] for line in streams["metrics"]] != list(range(state.iteration)):
             raise ValueError(f"{out_dir / 'metrics.jsonl'} does not hold iterations 0..{state.iteration - 1}")

@@ -5,7 +5,8 @@ by Monte Carlo rasterisation, transport plans come from scipy's LP solver,
 gradients from central finite differences.  The slow forms that fast
 paths replaced (Sinkhorn with a plan per iteration, the broadcast cost
 matrix, the per-channel blur, the float32 feature cache per scene view,
-scene rendering over a meshgrid, NMS over a list of box objects, the
+feature extraction that concatenates separately allocated rows, scene
+rendering over a meshgrid, NMS over a list of box objects, the
 full sort of capped grid cells, mAP matching that clips each pair once
 per threshold) are kept here, and the fast paths must match them bit
 for bit.  The scalar closed form of the pair weight
@@ -21,11 +22,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, uniform_filter
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from orientsemi.detector import extract_features
 from orientsemi.evaluation import _interpolated_ap
 from orientsemi.geometry import RotatedBox, rotated_iou
 from orientsemi.scenes import SceneConfig, SyntheticScene, flip_scene, strong_augment
@@ -360,6 +360,25 @@ def per_channel_blur(channels: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+def concatenated_features(channels: np.ndarray) -> np.ndarray:
+    """``detector.extract_features`` with each row block allocated on its
+    own and the blocks joined by ``np.concatenate``."""
+    channels = np.asarray(channels, dtype=np.float32)
+    c, h, w = channels.shape
+    lum = channels[c - 3]
+    rows = [channels]
+    for size in (3, 7):
+        rows.append(uniform_filter(channels, size=(1, size, size), mode="nearest"))
+    wide = np.empty((2, h, w), dtype=np.float32)
+    wide[0] = uniform_filter(lum, size=15, mode="nearest")
+    wide[1] = uniform_filter(lum, size=31, mode="nearest")
+    gy, gx = np.gradient(lum.astype(np.float32))
+    grad = np.sqrt(gx * gx + gy * gy, dtype=np.float32)[None]
+    ones = np.ones((1, h, w), dtype=np.float32)
+    stack = np.concatenate(rows + [wide, grad, ones], axis=0)
+    return stack.reshape(stack.shape[0], h * w)
+
+
 class PerViewFloat32Trainer(Trainer):
     """A ``Trainer`` whose feature path is one float32 matrix per (split,
     scene, flip), each extracted from flipped channels, unbounded.  Weak
@@ -376,7 +395,7 @@ class PerViewFloat32Trainer(Trainer):
             scene, channels = dataset.scenes[index], dataset.channels(index)
             if flip:
                 scene, channels = flip_scene(scene, channels)
-            self._per_view[key] = (scene, extract_features(channels))
+            self._per_view[key] = (scene, concatenated_features(channels))
         return self._per_view[key]
 
     def features_for(self, index, flip):
@@ -387,7 +406,7 @@ class PerViewFloat32Trainer(Trainer):
         _, strong, _ = strong_augment(
             self.unlabeled.scenes[index], self.unlabeled.channels(index), rng, self.config.augment_config(), flip=flip
         )
-        return scene, weak, extract_features(strong)
+        return scene, weak, concatenated_features(strong)
 
 
 def meshgrid_render_scene(scene: SyntheticScene, config: SceneConfig, rng: np.random.Generator) -> np.ndarray:

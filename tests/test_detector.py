@@ -28,6 +28,7 @@ from orientsemi.detector import (
     predict_dense,
 )
 from orientsemi.scenes import SceneConfig, SyntheticScene, flip_scene, generate_scene
+from tests._oracles import concatenated_features
 
 
 @st.composite
@@ -106,6 +107,24 @@ class TestFeatures:
         channels = np.full((6, 12, 12), 0.7, dtype=np.float32)
         feats = extract_features(channels)
         np.testing.assert_allclose(feats[6:18], 0.7, atol=1e-6)
+
+    @pytest.mark.parametrize("num_classes", [1, 3])
+    @pytest.mark.parametrize("noise_sigma", [0.05, 0.0], ids=["noisy", "noise-free"])
+    def test_equals_concatenated_oracle(self, num_classes, noise_sigma):
+        config = SceneConfig(height=40, width=57, num_classes=num_classes, density=2e-3, long_side_min=8.0,
+                             long_side_max=24.0, noise_sigma=noise_sigma)
+        _, channels = generate_scene(config, np.random.default_rng(5))
+        expected = concatenated_features(channels).view(np.uint32)
+        np.testing.assert_array_equal(extract_features(channels).view(np.uint32), expected)
+        out = np.full(expected.shape, np.nan, dtype=np.float32)
+        assert extract_features(channels, out=out) is out
+        np.testing.assert_array_equal(out.view(np.uint32), expected)
+
+    @pytest.mark.parametrize("out", [np.empty((22, 64)), np.empty((21, 64), np.float32),
+                                     np.empty((64, 22), np.float32).T], ids=["float64", "rows", "strided"])
+    def test_rejects_out_it_cannot_fill(self, out):
+        with pytest.raises(ValueError, match="expected C-contiguous float32"):
+            extract_features(np.zeros((6, 8, 8), dtype=np.float32), out=out)
 
     def test_count_matches_config(self):
         cfg = DetectorConfig()
