@@ -17,12 +17,24 @@ must match.
 Usage: ``python3 scripts/fingerprint.py OUT_DIR``.  OUT_DIR must not
 exist yet.  Commands run inside OUT_DIR with relative paths, so the eval
 record does not depend on where OUT_DIR is.
+
+``--check FILE`` compares the lines with a baseline written by
+``--write FILE`` (OUT_DIR is then optional; a temporary directory is
+used without it).  The bits depend on NumPy's SIMD ``exp``, SciPy's
+``expit`` and the BLAS kernels, so a baseline records the machine it was
+made on: the Python, NumPy and SciPy versions, NumPy's BLAS and the SIMD
+extensions NumPy found.  Exit status of ``--check``: 0 when every line
+matches; 1 when a line differs on a machine that matches the baseline's;
+2 when a line differs and the machine does not match, which cannot tell
+a change of behaviour from a change of arithmetic.
 """
 
 import argparse
 import hashlib
 import os
+import platform
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -79,16 +91,76 @@ def digests(out: Path) -> list[str]:
     return sorted(lines, key=lambda line: line.split("  ", 1)[1])
 
 
+def machine() -> dict[str, str]:
+    """What the fingerprint's bits depend on, beyond the source."""
+    import numpy
+    import scipy
+
+    config = numpy.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "simd": " ".join(config["SIMD Extensions"]["found"]),
+    }
+
+
+def baseline_text(lines: list[str], fields: dict[str, str]) -> str:
+    return "".join(f"# {key}: {value}\n" for key, value in fields.items()) + "".join(f"{line}\n" for line in lines)
+
+
+def check(baseline: str, lines: list[str], fields: dict[str, str]) -> tuple[int, str]:
+    """The ``--check`` exit status and report for ``lines`` made on a
+    machine described by ``fields``, against a baseline file's text."""
+    recorded = dict(
+        line[2:].split(": ", 1) for line in baseline.splitlines() if line.startswith("# ") and ": " in line
+    )
+    expected = [line for line in baseline.splitlines() if line and not line.startswith("#")]
+    if lines == expected:
+        return 0, f"fingerprint: all {len(lines)} lines match the baseline"
+    old, new = set(expected), set(lines)
+    report = [f"fingerprint: {len(new - old)} of {len(lines)} lines differ from the baseline"]
+    report += [f"  baseline {line}" for line in expected if line not in new]
+    report += [f"  now      {line}" for line in lines if line not in old]
+    moved = [f"{key} {recorded.get(key)} -> {value}" for key, value in fields.items() if recorded.get(key) != value]
+    if not moved:
+        return 1, "\n".join(report)
+    report.append("fingerprint: the baseline was made on another machine (" + "; ".join(moved) + "), "
+                  "so the difference may be arithmetic, not behaviour")
+    return 2, "\n".join(report)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path, help="output directory (must not exist)")
-    out = parser.parse_args(argv).out.resolve()
-    out.mkdir(parents=True)
-    os.chdir(out)
-    for name, overrides in CONFIGS.items():
-        run_config(name, overrides)
+    parser.add_argument("out", type=Path, nargs="?",
+                        help="output directory (must not exist); optional with --check or --write")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", type=Path, metavar="FILE", help="compare the lines with this baseline")
+    mode.add_argument("--write", type=Path, metavar="FILE", help="write the lines and the machine to this baseline")
+    args = parser.parse_args(argv)
+    if args.out is None and args.check is None and args.write is None:
+        parser.error("OUT_DIR is required without --check or --write")
+    with tempfile.TemporaryDirectory() as scratch:
+        out = (args.out or Path(scratch) / "out").resolve()
+        out.mkdir(parents=True)
+        cwd = os.getcwd()
+        os.chdir(out)
+        try:
+            for name, overrides in CONFIGS.items():
+                run_config(name, overrides)
+            lines = digests(out)
+        finally:
+            os.chdir(cwd)
     # The command summaries go to stdout first; the digests come last.
-    print("\n".join(digests(out)))
+    print("\n".join(lines))
+    if args.write is not None:
+        args.write.write_text(baseline_text(lines, machine()))
+    if args.check is not None:
+        status, report = check(args.check.read_text(), lines, machine())
+        print(report, file=sys.stderr)
+        return status
     return 0
 
 

@@ -101,32 +101,36 @@ def extract_features(channels: np.ndarray, out: Optional[np.ndarray] = None) -> 
 def mirror_features(
     features: np.ndarray, num_channels: int, width: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """The feature matrix of a channel stack mirrored by
+    """The cell-major feature matrix of a channel stack mirrored by
     :func:`~orientsemi.scenes.flip_scene`, made from the unmirrored
-    stack's ``features``: grid columns reversed, and the three sin(2a)
-    rows (raw, three-cell and seven-cell mean) negated.  Written into
-    ``out`` if given.
+    stack's cell-major ``features`` (N, F'), the transpose of
+    :func:`extract_features` or its first F' >= 3C rows: each grid row's
+    cells reversed, and the three sin(2a) columns (raw, three-cell and
+    seven-cell mean) negated.  Written into ``out`` if given, any (N, F')
+    array such as a column slice of a wider matrix; a float32 ``features``
+    is cast on the way.
 
     It equals ``extract_features`` of the mirrored stack bit for bit
     whenever the box filters' running window sums are exact in float64:
     for instance when every channel value is a multiple of 2^-10 below 16
     in magnitude, and on every noisy rendered scene tried.  Where a line
     mixes magnitudes far apart, the running sum rounds, and the mirrored
-    stack sums in the opposite order.  The mean rows can then differ by
+    stack sums in the opposite order.  The mean columns can then differ by
     that rounding: on a noise-free scene, where blob tails reach 1e-30,
     the two give residues near 1e-26 in different cells.
     """
     if out is None:
         out = np.empty_like(features)
-    rows = features.shape[0]
-    np.copyto(out.reshape(rows, -1, width), features.reshape(rows, -1, width)[:, :, ::-1])
+    cols = features.shape[1]
+    # Splitting the cell axis is a view of any (N, F') array.
+    np.copyto(out.reshape(-1, width, cols), features.reshape(-1, width, cols)[:, ::-1])
     c = num_channels
-    # The raw row is the negated channel, so it carries -0.0 where the
+    # The raw column is the negated channel, so it carries -0.0 where the
     # channel holds +0.0.  A filter's window sum starts at +0.0 and never
-    # yields -0.0, so the mean rows negate as 0 - x.
-    np.negative(out[c - 1], out=out[c - 1])
-    for row in (2 * c - 1, 3 * c - 1):
-        np.subtract(0.0, out[row], out=out[row])
+    # yields -0.0, so the mean columns negate as 0 - x.
+    np.negative(out[:, c - 1], out=out[:, c - 1])
+    for col in (2 * c - 1, 3 * c - 1):
+        np.subtract(0.0, out[:, col], out=out[:, col])
     return out
 
 

@@ -18,6 +18,7 @@ random stream of an uninterrupted one.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import OrderedDict
@@ -56,9 +57,9 @@ from orientsemi.scenes import SceneConfig, SyntheticScene, flip_ground_truth, fl
 from orientsemi.weighting import pair_weights
 
 CHECKPOINT_MAGIC = b"ORIENTSEMI-CKPT v1\n"
-# Labeled feature matrices dominate run memory (22 rows x H*W float32,
-# 0.8 MB at 96x96), so the cache is bounded by bytes rather than entry
-# count: about 1,850 scenes of 96x96.
+# Labeled feature matrices dominate run memory (H*W cells x 21 float32
+# columns, 0.77 MB at 96x96), so the cache is bounded by bytes rather
+# than entry count: about 1,940 scenes of 96x96.
 _FEATURE_CACHE_BYTES = 1_500_000_000
 
 
@@ -134,14 +135,29 @@ def localization_quality_map(scene: SyntheticScene, height: int, width: int) -> 
 class SupervisedTargets:
     """Parameter-free training targets for one (scene, flip) view.
 
-    ``encoded`` is the owner box's :func:`~orientsemi.detector.encode_boxes`
-    target at each positive cell."""
+    ``pos_flat`` are the positive cells, ascending, and ``pos_class``
+    their classes, both int32; ``encoded`` is the owner box's
+    :func:`~orientsemi.detector.encode_boxes` target and ``t_ctr`` the
+    centerness target at each.  The :func:`localization_quality_map` is
+    held sparse: its nonzero cells ``quality_cells`` (int32, ascending)
+    and their values ``quality_values``; every other cell reads +0.0, as
+    in the dense map."""
 
     pos_flat: np.ndarray
     pos_class: np.ndarray
     encoded: tuple[np.ndarray, ...]
     t_ctr: np.ndarray
-    quality: np.ndarray
+    quality_cells: np.ndarray
+    quality_values: np.ndarray
+
+    def quality_at(self, cells: np.ndarray) -> np.ndarray:
+        """The quality map's values at the flat ``cells``, bit for bit."""
+        slot = np.searchsorted(self.quality_cells, cells)
+        listed = slot < self.quality_cells.size
+        listed[listed] = self.quality_cells[slot[listed]] == cells[listed]
+        values = np.zeros(len(cells))
+        values[listed] = self.quality_values[slot[listed]]
+        return values
 
 
 def build_supervised_targets(scene: SyntheticScene, height: int, width: int) -> SupervisedTargets:
@@ -170,12 +186,15 @@ def build_supervised_targets(scene: SyntheticScene, height: int, width: int) -> 
     ratio_x = (half_w - np.abs(lx)) / (half_w + np.abs(lx))
     ratio_y = (half_h - np.abs(ly)) / (half_h + np.abs(ly))
     t_ctr = np.sqrt(np.clip(ratio_x * ratio_y, 0.0, 1.0))
+    quality = localization_quality_map(scene, height, width)
+    quality_cells = np.flatnonzero(quality)
     return SupervisedTargets(
-        pos_flat=pos_flat,
-        pos_class=scene.classes[gt],
+        pos_flat=pos_flat.astype(np.int32),
+        pos_class=scene.classes[gt].astype(np.int32),
         encoded=encoded,
         t_ctr=t_ctr,
-        quality=localization_quality_map(scene, height, width),
+        quality_cells=quality_cells.astype(np.int32),
+        quality_values=quality[quality_cells],
     )
 
 
@@ -220,16 +239,41 @@ def head_errors(
     return errs, c_raw, s_raw, c_raw / norm - t_cos, s_raw / norm - t_sin, raw[k + OFF_CTR, cols]
 
 
+@functools.lru_cache(maxsize=None)
+def _transpose_keeps_bits(heads: int, num_features: int, n: int) -> bool:
+    """Whether ``W @ Xt.T`` has the bits of ``W @ X`` for a (heads, F)
+    ``W``, an (F, n) ``X`` and its C-contiguous transpose ``Xt``.
+
+    dgemm runs another kernel for the transposed operand on some shapes:
+    with OpenBLAS 0.3.31 on AVX-512, grids under about 8,000 cells whose
+    count is 1 to 4 past a multiple of 8 differ in those last cells.  A
+    random probe shows whether this shape is one, on this BLAS."""
+    rng = np.random.default_rng(0)
+    weights = rng.standard_normal((heads, num_features))
+    features_t = rng.standard_normal((n, num_features))
+    direct = weights @ features_t.T
+    copied = weights @ np.ascontiguousarray(features_t.T)
+    return bool(np.array_equal(direct.view(np.uint64), copied.view(np.uint64)))
+
+
 @dataclass
 class SupervisedWorkspace:
     """The arrays :func:`supervised_loss` writes for a grid of N cells:
     head outputs and their gradient, (num_heads, N), the features
     cell-major, (N, F), and three (K, N) classification arrays.
-    ``cls_targets`` is all zero between calls."""
+    ``cls_targets`` is all zero between calls.
+
+    ``features_t``'s last column is the constant ones feature, set here;
+    :meth:`Trainer.features_for` writes the other columns.  ``features``
+    is the (F, N) matrix ``forward`` reads: ``features_t.T`` itself, or,
+    on a grid where that operand changes the product's bits
+    (:func:`_transpose_keeps_bits`), a copy that :meth:`loaded_features`
+    refreshes."""
 
     raw: np.ndarray
     d_raw: np.ndarray
     features_t: np.ndarray
+    features: np.ndarray
     cls_targets: np.ndarray
     cls_loss: np.ndarray
     scratch: np.ndarray
@@ -238,14 +282,24 @@ class SupervisedWorkspace:
     def for_grid(cls, num_classes: int, num_features: int, n: int) -> "SupervisedWorkspace":
         heads = (num_classes + NUM_EXTRA_HEADS, n)
         per_class = (num_classes, n)
+        features_t = np.empty((n, num_features))
+        features_t[:, -1] = 1.0
+        exact = _transpose_keeps_bits(heads[0], num_features, n)
         return cls(
             raw=np.empty(heads),
             d_raw=np.empty(heads),
-            features_t=np.empty((n, num_features)),
+            features_t=features_t,
+            features=features_t.T if exact else np.empty((num_features, n)),
             cls_targets=np.zeros(per_class),
             cls_loss=np.empty(per_class),
             scratch=np.empty(per_class),
         )
+
+    def loaded_features(self) -> np.ndarray:
+        """``features``, once ``features_t`` holds a scene's features."""
+        if self.features.base is not self.features_t:
+            np.copyto(self.features, self.features_t.T)
+        return self.features
 
 
 def supervised_loss(
@@ -264,10 +318,17 @@ def supervised_loss(
     predicted-IoU head trains on a per-step subsample of positives and
     negatives against the geometric quality map.  All terms normalise by
     the positive count.  The grid-sized arrays are written into
-    ``workspace``, or into a fresh one.
+    ``workspace``, or into a fresh one.  ``features`` is any (F, N)
+    matrix; the workspace's own ``features`` is read in place.
     """
     k = params.num_classes
     ws = SupervisedWorkspace.for_grid(k, *features.shape) if workspace is None else workspace
+    if features is not ws.features:
+        # Copied cell-major, a C-contiguous right operand for the gradient
+        # whatever the features' dtype and layout: dgemm's kernel for a
+        # transposed one sums in another order on some grids, so the
+        # gradient's bits would depend on them.
+        np.copyto(ws.features_t, features.T)
     raw = forward(params, features, out=ws.raw)
     n = raw.shape[1]
     pos = targets.pos_flat
@@ -317,15 +378,11 @@ def supervised_loss(
     loss_iou = 0.0
     if sample.size:
         z_iou = raw[k + OFF_IOU, sample]
-        t_iou = targets.quality[sample]
+        t_iou = targets.quality_at(sample)
         loss_iou = float(binary_cross_entropy(z_iou, t_iou).sum()) / sample.size
         d_raw[k + OFF_IOU, sample] = (expit(z_iou) - t_iou) / sample.size
 
     loss = loss_cls + loss_reg + loss_ctr + loss_iou
-    # A C-contiguous right operand whatever the features' dtype and
-    # layout: dgemm's kernel for a transposed one sums in another order
-    # on some grids, so the gradient's bits would depend on them.
-    np.copyto(ws.features_t, features.T)
     grad = d_raw @ ws.features_t
     parts = {"cls": loss_cls, "reg": loss_reg, "ctr": loss_ctr, "iou": loss_iou}
     return loss, grad, parts
@@ -514,11 +571,13 @@ class Trainer:
     """Binds a config to datasets and owns the per-run caches and the
     per-step arrays.
 
-    Each labeled scene's feature matrix is memoised once, as the float32
-    array that :func:`~orientsemi.detector.extract_features` returns, in
-    an LRU bounded by bytes; a lookup casts it, or mirrors it for a flip,
-    into a float64 buffer.  Supervised targets are memoised per (scene,
-    flip).  Unlabeled scenes are read once per step and not cached: drawn
+    Each labeled scene's features are memoised once, in an LRU bounded
+    by bytes: the float32 matrix that
+    :func:`~orientsemi.detector.extract_features` returns, transposed to
+    cell-major (N, F - 1) without its constant ones row.  A lookup casts
+    the entry, or mirrors it for a flip, straight into the supervised
+    workspace's float64 ``features_t``.  Supervised targets, with their
+    quality map sparse, are memoised per (scene, flip).  Unlabeled scenes are read once per step and not cached: drawn
     from a large pool, few recur within a run.  Head outputs, their
     gradient and the views' feature matrices are written into arrays
     allocated once per run, which the next step overwrites.
@@ -535,8 +594,6 @@ class Trainer:
         num_classes = config.scene.num_classes
         features = (config.detector.num_features(config.scene.num_channels), cells)
         heads = (num_classes + NUM_EXTRA_HEADS, cells)
-        self._unflipped = np.empty(features)
-        self._mirrored = np.empty(features)
         self._extracted = np.empty(features, dtype=np.float32)
         self._weak = np.empty(features)
         self._strong = np.empty(features)
@@ -545,25 +602,31 @@ class Trainer:
         self._supervised = SupervisedWorkspace.for_grid(num_classes, *features)
 
     def features_for(self, index: int, flip: bool) -> np.ndarray:
-        """The float64 feature matrix of labeled scene ``index``, flipped
-        if ``flip``: the cached float32 matrix cast into a buffer, or for a
-        flip mirrored (:func:`~orientsemi.detector.mirror_features`) into
-        another.  The next lookup with the same ``flip`` overwrites it."""
-        features = self._features.get(index)
-        if features is None:
-            features = extract_features(self.labeled.channels(index))
-            self._features[index] = features
-            self._feature_bytes += features.nbytes
+        """The float64 (F, N) feature matrix of labeled scene ``index``,
+        flipped if ``flip``, as the supervised workspace's ``features``:
+        the cached entry is cast, or for a flip mirrored
+        (:func:`~orientsemi.detector.mirror_features`), into the first
+        F - 1 columns of its ``features_t``.  The next lookup overwrites
+        it."""
+        entry = self._features.get(index)
+        if entry is None:
+            features = extract_features(self.labeled.channels(index), out=self._extracted)
+            entry = np.ascontiguousarray(features[:-1].T)
+            self._features[index] = entry
+            self._feature_bytes += entry.nbytes
             while self._feature_bytes > _FEATURE_CACHE_BYTES and len(self._features) > 1:
                 _, evicted = self._features.popitem(last=False)
                 self._feature_bytes -= evicted.nbytes
         else:
             self._features.move_to_end(index)
-        if not flip:
-            np.copyto(self._unflipped, features)
-            return self._unflipped
-        scene = self.config.scene
-        return mirror_features(features, scene.num_channels, scene.width, out=self._mirrored)
+        workspace = self._supervised
+        columns = workspace.features_t[:, :-1]
+        if flip:
+            scene = self.config.scene
+            mirror_features(entry, scene.num_channels, scene.width, out=columns)
+        else:
+            np.copyto(columns, entry)
+        return workspace.loaded_features()
 
     def unlabeled_views(
         self, index: int, flip: bool, rng: np.random.Generator

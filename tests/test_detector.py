@@ -40,10 +40,16 @@ def dyadic_stacks(draw):
     return (steps * 2.0**-10).astype(np.float32)
 
 
+def cell_major(features: np.ndarray) -> np.ndarray:
+    """A C-contiguous float64 (N, F) copy of an (F, N) feature matrix."""
+    return np.ascontiguousarray(features.T, dtype=np.float64)
+
+
 def features_of_flipped(channels: np.ndarray) -> np.ndarray:
+    """Cell-major features extracted from the flipped stack."""
     c, h, w = channels.shape
     blank = SyntheticScene(height=h, width=w, boxes=np.empty((0, 5)), classes=np.empty(0), layout="uniform")
-    return extract_features(flip_scene(blank, channels)[1]).astype(np.float64)
+    return cell_major(extract_features(flip_scene(blank, channels)[1]))
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
@@ -53,13 +59,14 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
 
 
 class TestMirror:
-    """Features of a flipped stack, from the unflipped stack's features."""
+    """Cell-major features of a flipped stack, from the unflipped stack's
+    cell-major features."""
 
     @settings(max_examples=150, deadline=None)
     @given(dyadic_stacks())
     def test_equals_features_of_flipped_stack(self, channels):
         c, _, w = channels.shape
-        mirrored = mirror_features(extract_features(channels).astype(np.float64), c, w)
+        mirrored = mirror_features(cell_major(extract_features(channels)), c, w)
         assert_same_bits(mirrored, features_of_flipped(channels))
 
     @pytest.mark.parametrize("height, width, seed", [(96, 96, 0), (96, 96, 1), (40, 57, 2), (57, 40, 3)])
@@ -70,7 +77,7 @@ class TestMirror:
             config = SceneConfig(height=height, width=width, density=2e-3, long_side_min=8.0,
                                  long_side_max=24.0, noise_sigma=noise_sigma)
             _, channels = generate_scene(config, np.random.default_rng(seed))
-            mirrored = mirror_features(extract_features(channels).astype(np.float64), config.num_channels, width)
+            mirrored = mirror_features(cell_major(extract_features(channels)), config.num_channels, width)
             expected = features_of_flipped(channels)
             if noise_sigma > 0.0:
                 assert_same_bits(mirrored, expected)
@@ -79,10 +86,14 @@ class TestMirror:
                 np.testing.assert_allclose(mirrored, expected, rtol=0.0, atol=tolerance)
 
     def test_writes_into_out(self):
+        # As the trainer uses it: a float32 entry without the ones column,
+        # mirrored into the leading columns of a float64 matrix.
         channels = (np.random.default_rng(4).integers(-1000, 1000, size=(6, 9, 12)) * 2.0**-10).astype(np.float32)
-        features = extract_features(channels).astype(np.float64)
-        out = np.empty_like(features)
-        assert mirror_features(features, 6, 12, out=out) is out
+        entry = np.ascontiguousarray(extract_features(channels)[:-1].T)
+        out = np.empty((entry.shape[0], entry.shape[1] + 1))
+        out[:, -1] = 1.0
+        columns = out[:, :-1]
+        assert mirror_features(entry, 6, 12, out=columns) is columns
         assert_same_bits(out, features_of_flipped(channels))
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientsemi.config import RunConfig, SemiConfig, Tab1Config
 from orientsemi.detector import (
@@ -17,12 +19,12 @@ from orientsemi.detector import (
     decode_dense,
     extract_features,
     forward,
-    mirror_features,
 )
 from orientsemi.geometry import RotatedBox, rotated_iou
 from orientsemi.sampling import build_pairs
-from orientsemi.scenes import InMemoryScenes, SceneConfig, generate_scene
+from orientsemi.scenes import InMemoryScenes, SceneConfig, SyntheticScene, flip_ground_truth, flip_scene, generate_scene
 from orientsemi.training import (
+    SupervisedWorkspace,
     Trainer,
     build_supervised_targets,
     consistency_loss,
@@ -175,6 +177,27 @@ class TestSupervisedTargets:
         targets = build_supervised_targets(scene, 16, 16)
         at_center = targets.pos_flat == 8 * 16 + 8
         assert targets.t_ctr[at_center][0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("view", ["unflipped", "flipped", "no-boxes"])
+    def test_sparse_quality_equals_dense_map(self, view):
+        config = tiny_scene_config()
+        scene, _ = generate_scene(config, np.random.default_rng(42))
+        if view == "flipped":
+            scene = flip_ground_truth(scene)
+        elif view == "no-boxes":
+            scene = SyntheticScene(height=32, width=32, boxes=np.empty((0, 5)),
+                                   classes=np.empty(0, dtype=np.int64), layout="uniform")
+        targets = build_supervised_targets(scene, config.height, config.width)
+        dense = localization_quality_map(scene, config.height, config.width)
+        assert (np.count_nonzero(dense) > 0) == (view != "no-boxes")
+        cells = np.arange(dense.size)
+        np.testing.assert_array_equal(targets.quality_at(cells).view(np.uint64), dense.view(np.uint64))
+        # In the order and with the repeats of a draw.
+        picks = np.random.default_rng(3).integers(0, dense.size, size=300)
+        np.testing.assert_array_equal(targets.quality_at(picks).view(np.uint64), dense[picks].view(np.uint64))
+        for cells in (targets.quality_cells, targets.pos_flat, targets.pos_class):
+            assert cells.dtype == np.int32
+        assert np.all(np.diff(targets.quality_cells) > 0) and np.all(np.diff(targets.pos_flat) > 0)
 
 
 class TestSupervisedLoss:
@@ -583,11 +606,65 @@ class TestUnlabeledIndexDefect:
         assert len(views) == 1
 
 
+# Every canvas a test or a shipped config trains on.
+TRAINING_GRIDS = [(8, 8), (16, 16), (24, 24), (32, 32), (40, 57), (48, 48), (57, 40), (64, 64), (96, 96),
+                  (128, 128), (256, 256)]
+
+
+class TestTransposedForward:
+    """``forward`` reads the labeled features through the transposed view
+    of the workspace's cell-major ``features_t``, with the bits of a
+    C-contiguous (F, N) operand."""
+
+    @pytest.mark.parametrize("height, width", TRAINING_GRIDS)
+    @settings(max_examples=6, deadline=None)
+    @given(num_classes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_view_equals_contiguous_operand(self, height, width, num_classes, seed):
+        rng = np.random.default_rng(seed)
+        num_features = DetectorConfig().num_features(num_classes + 3)
+        features_t = np.empty((height * width, num_features))
+        features_t[:, :-1] = rng.standard_normal((height * width, num_features - 1)).astype(np.float32)
+        features_t[:, -1] = 1.0
+        weights = rng.standard_normal((num_classes + NUM_EXTRA_HEADS, num_features)) * 10.0 ** rng.integers(
+            -3, 2, size=(num_classes + NUM_EXTRA_HEADS, num_features)
+        )
+        params = ToyDetectorParams(weights=weights, num_classes=num_classes)
+        view = forward(params, features_t.T)
+        contiguous = forward(params, np.ascontiguousarray(features_t.T))
+        np.testing.assert_array_equal(view.view(np.uint64), contiguous.view(np.uint64))
+
+    @pytest.mark.parametrize("height, width", [(9, 12), (32, 32), (96, 96)])
+    def test_workspace_operand_keeps_bits(self, height, width):
+        # Whatever the BLAS makes of the transposed view on a grid (with
+        # OpenBLAS 0.3.31 on AVX-512, a 9x12 grid's last four cells
+        # differ), the matrix the workspace hands to forward gives the
+        # loss and gradient of a C-contiguous float64 matrix.
+        config = tiny_scene_config(height=height, width=width)
+        channels = np.random.default_rng(5).normal(size=(config.num_channels, height, width)).astype(np.float32)
+        scene = SyntheticScene(height=height, width=width, boxes=np.array([[5.0, 4.5, 6.0, 3.0, 0.4]]),
+                               classes=np.array([1]), layout="uniform")
+        targets = build_supervised_targets(scene, height, width)
+        features = extract_features(channels)
+        params = ToyDetectorParams.initialize(
+            config.num_channels, config.num_classes, np.random.default_rng(6), DetectorConfig()
+        )
+        workspace = SupervisedWorkspace.for_grid(config.num_classes, *features.shape)
+        np.copyto(workspace.features_t[:, :-1], features[:-1].T)
+        operand = workspace.loaded_features()
+        contiguous = features.astype(np.float64)
+        np.testing.assert_array_equal(operand, contiguous)
+        loss, grad, _ = supervised_loss(params, operand, targets, np.random.default_rng(0), 8, 8, workspace=workspace)
+        expected_loss, expected_grad, _ = supervised_loss(params, contiguous, targets, np.random.default_rng(0), 8, 8)
+        assert loss == expected_loss
+        np.testing.assert_array_equal(grad.view(np.uint64), expected_grad.view(np.uint64))
+
+
 class TestFeaturePath:
-    """The feature path: one cached float32 matrix per labeled scene, cast
-    or mirrored into float64 buffers on each lookup, unlabeled views read
-    once per step and extracted through one float32 scratch, and the
-    step's grid-sized arrays in buffers the trainer owns."""
+    """The feature path: one cached cell-major float32 matrix per labeled
+    scene, without the ones column, cast or mirrored straight into the
+    supervised workspace on each lookup; unlabeled views read once per
+    step and extracted through one float32 scratch; and the step's
+    grid-sized arrays in buffers the trainer owns."""
 
     def test_cache_holds_float32_matrices(self):
         config = tiny_run_config()
@@ -595,7 +672,7 @@ class TestFeaturePath:
         trainer = Trainer(config, labeled, unlabeled)
         for index, flip in ((0, False), (1, True), (2, False), (0, True)):
             trainer.features_for(index, flip)
-        matrix = 4 * config.detector.num_features(config.scene.num_channels) * 32 * 32
+        matrix = 4 * (config.detector.num_features(config.scene.num_channels) - 1) * 32 * 32
         assert all(entry.dtype == np.float32 for entry in trainer._features.values())
         assert list(trainer._features) == [1, 2, 0]
         assert trainer._feature_bytes == 3 * matrix
@@ -606,12 +683,38 @@ class TestFeaturePath:
         labeled, unlabeled = make_datasets(config, n_labeled=2, n_unlabeled=1)
         trainer = Trainer(config, labeled, unlabeled)
         for index in (0, 1, 0):
-            expected = extract_features(labeled.channels(index)).astype(np.float64)
-            if flip:
-                expected = mirror_features(expected, config.scene.num_channels, config.scene.width)
+            scene, channels = labeled.scenes[index], labeled.channels(index)
+            # The tiny scenes are noisy, so the mirror equals extracting
+            # from the flipped stack bit for bit.
+            expected = extract_features(flip_scene(scene, channels)[1] if flip else channels).astype(np.float64)
             result = trainer.features_for(index, flip)
             assert result.dtype == np.float64
             np.testing.assert_array_equal(result.view(np.uint64), expected.view(np.uint64))
+            np.testing.assert_array_equal(trainer._supervised.features_t, expected.T)
+
+    def test_retained_state_per_view(self):
+        # Once every (scene, flip) pair has been looked up: one cell-major
+        # float32 entry of F - 1 columns per scene, and per target its int32
+        # cell and class indices, seven float64 values per positive cell
+        # (six box targets and centerness) and 12 bytes per nonzero
+        # quality cell (an int32 index and a float64 value).
+        config = tiny_run_config(flip_probability=0.5, labeled_batch=3)
+        labeled, unlabeled = make_datasets(config, n_labeled=3, n_unlabeled=1)
+        trainer = Trainer(config, labeled, unlabeled)
+        state = init_state(config)
+        for _ in range(10):
+            trainer.train_step(state, [0, 1, 2], [])
+        assert set(trainer._targets) == {(index, flip) for index in range(3) for flip in (False, True)}
+        cells, columns = 32 * 32, config.detector.num_features(config.scene.num_channels) - 1
+        for entry in trainer._features.values():
+            assert entry.shape == (cells, columns) and entry.dtype == np.float32 and entry.flags.c_contiguous
+        assert trainer._feature_bytes == sum(entry.nbytes for entry in trainer._features.values())
+        assert trainer._feature_bytes == 3 * 4 * columns * cells
+        for targets in trainer._targets.values():
+            arrays = (targets.pos_flat, targets.pos_class, *targets.encoded, targets.t_ctr,
+                      targets.quality_cells, targets.quality_values)
+            held = sum(array.nbytes for array in arrays)
+            assert held <= 64 * targets.pos_flat.size + 12 * targets.quality_cells.size
 
     def test_same_bytes_as_per_view_float32_oracle(self, tmp_path, monkeypatch):
         config = tiny_run_config(flip_probability=0.5)
@@ -625,7 +728,7 @@ class TestFeaturePath:
         assert {view["flip"] for view in views} == {False, True}
         assert sum(view["n_pairs"] for view in views) > 0
 
-    @pytest.mark.parametrize("semi, budget", [(False, 1), (True, 1)], ids=["supervised", "semi"])
+    @pytest.mark.parametrize("semi, budget", [(False, 0.25), (True, 1)], ids=["supervised", "semi"])
     def test_warm_step_allocates_under_budget(self, semi, budget):
         # Budget in float64 feature matrices of the grid.  Flipped labeled
         # views run the mirror; the unlabeled view samples pairs and runs
@@ -657,8 +760,8 @@ class TestFeaturePath:
         config = tiny_run_config(flip_probability=0.5, labeled_batch=2)
         labeled, unlabeled = make_datasets(config, n_labeled=5, n_unlabeled=2)
         run_training(config, labeled, unlabeled, out_dir=tmp_path / "unbounded")
-        # The bound holds 2.5 float32 matrices, so at most two entries.
-        matrix = 4 * config.detector.num_features(config.scene.num_channels) * 32 * 32
+        # The bound holds 2.5 cache entries, so at most two.
+        matrix = 4 * (config.detector.num_features(config.scene.num_channels) - 1) * 32 * 32
         bound = int(2.5 * matrix)
         monkeypatch.setattr(training, "_FEATURE_CACHE_BYTES", bound)
         seen, sizes = set(), []
