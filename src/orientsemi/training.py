@@ -245,9 +245,10 @@ def _transpose_keeps_bits(heads: int, num_features: int, n: int) -> bool:
     ``W``, an (F, n) ``X`` and its C-contiguous transpose ``Xt``.
 
     dgemm runs another kernel for the transposed operand on some shapes:
-    with OpenBLAS 0.3.31 on AVX-512, grids under about 8,000 cells whose
-    count is 1 to 4 past a multiple of 8 differ in those last cells.  A
-    random probe shows whether this shape is one, on this BLAS."""
+    with OpenBLAS 0.3.31 on AVX-512, grids of up to about 4,100 cells
+    whose count is 1 to 4 past a multiple of 8 (9x12, 63x63) differ in
+    those last cells.  A random probe shows whether this shape is one,
+    on this BLAS."""
     rng = np.random.default_rng(0)
     weights = rng.standard_normal((heads, num_features))
     features_t = rng.standard_normal((n, num_features))
@@ -577,10 +578,11 @@ class Trainer:
     cell-major (N, F - 1) without its constant ones row.  A lookup casts
     the entry, or mirrors it for a flip, straight into the supervised
     workspace's float64 ``features_t``.  Supervised targets, with their
-    quality map sparse, are memoised per (scene, flip).  Unlabeled scenes are read once per step and not cached: drawn
-    from a large pool, few recur within a run.  Head outputs, their
-    gradient and the views' feature matrices are written into arrays
-    allocated once per run, which the next step overwrites.
+    quality map sparse, are memoised per (scene, flip).  Unlabeled
+    scenes are read once per step and not cached: drawn from a large
+    pool, few recur within a run.  Head outputs, their gradient and the
+    views' feature matrices are written into arrays allocated once per
+    run, which the next step overwrites.
     """
 
     def __init__(self, config: RunConfig, labeled, unlabeled=None):

@@ -557,8 +557,8 @@ class TestTrainingRuns:
         trainer = Trainer(config, labeled, unlabeled)
         state = init_state(config)
         trainer.features_for(0, False)
-        # Each lookup casts the cached float32 matrix into a buffer, so the
-        # poison goes into the cache entry itself.
+        # Each lookup casts the cached float32 entry into the workspace, so
+        # the poison goes into the entry itself.
         trainer._features[0][0, 0] = np.nan
         weights = state.student.weights.copy()
         momentum = state.momentum_buffer.copy()
@@ -606,7 +606,8 @@ class TestUnlabeledIndexDefect:
         assert len(views) == 1
 
 
-# Every canvas a test or a shipped config trains on.
+# Every canvas a test or a shipped config trains on, and the two
+# rectangular ones of the mirror tests.
 TRAINING_GRIDS = [(8, 8), (16, 16), (24, 24), (32, 32), (40, 57), (48, 48), (57, 40), (64, 64), (96, 96),
                   (128, 128), (256, 256)]
 
