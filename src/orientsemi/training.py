@@ -96,105 +96,94 @@ def smooth_l1_grad(err: np.ndarray) -> np.ndarray:
     return np.clip(err, -1.0, 1.0)
 
 
-def localization_quality_map(scene: SyntheticScene, height: int, width: int) -> np.ndarray:
-    """Per-cell localisation quality: the IoU a ground-truth-shaped box
-    centered at the cell would have with the nearest ground truth.
+@dataclass
+class SupervisedTargets:
+    """Parameter-free training targets for one (scene, flip) view, kept at
+    their true size: the view's ground truth ``boxes`` and ``classes``,
+    its grid ``width``, the positive cells ``pos_flat`` (int32,
+    ascending) and each one's ``owner`` box index (the smallest unsigned
+    dtype that holds the box count).  A step computes the targets it
+    reads from these: :meth:`at_positives` and
+    :meth:`localization_quality`."""
 
-    Congruent parallel rectangles overlap in a rectangle, so the value is
-    closed form in the displacement expressed in the box frame.  The map
-    is the max over ground-truth boxes and is exactly 0 away from them.
-    This is the regression target for the predicted-IoU head; it depends
-    only on geometry, never on model parameters.
-    """
-    quality = np.zeros(height * width)
-    for row in scene.boxes:
-        cx, cy, w, h, angle = row
-        c, s = math.cos(angle), math.sin(angle)
+    boxes: np.ndarray
+    classes: np.ndarray
+    width: int
+    pos_flat: np.ndarray
+    owner: np.ndarray
+
+    def at_positives(self) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+        """``(classes, encoded, t_ctr)`` at the positive cells: the owner
+        box's class, its :func:`~orientsemi.detector.encode_boxes` target
+        and the centerness target."""
+        boxes = self.boxes[self.owner]
+        pos = self.pos_flat
+        encoded = encode_boxes(boxes, pos // self.width, pos % self.width)
+        dx, dy = encoded[:2]
+        c = np.cos(boxes[:, 4])
+        s = np.sin(boxes[:, 4])
+        # Cell center in the box frame; distances to the four edges give the
+        # centerness target.
+        lx = -(dx * c + dy * s)
+        ly = -(-dx * s + dy * c)
+        half_w = boxes[:, 2] / 2.0
+        half_h = boxes[:, 3] / 2.0
+        ratio_x = (half_w - np.abs(lx)) / (half_w + np.abs(lx))
+        ratio_y = (half_h - np.abs(ly)) / (half_h + np.abs(ly))
+        t_ctr = np.sqrt(np.clip(ratio_x * ratio_y, 0.0, 1.0))
+        return self.classes[self.owner], encoded, t_ctr
+
+    def localization_quality(self, cells: np.ndarray) -> np.ndarray:
+        """Localisation quality at the flat ``cells``: the IoU a
+        ground-truth-shaped box centered at the cell would have with the
+        nearest ground truth, the regression target of the predicted-IoU
+        head.
+
+        Congruent parallel rectangles overlap in a rectangle, so the value
+        is closed form in the displacement expressed in the box frame.  A
+        box counts only inside the window of cells its overlap can reach;
+        the value is the max over boxes, and exactly 0 away from them."""
+        cx, cy, w, h, angle = self.boxes.T[:, :, None]
+        # libm's cos and sin per box, as the quality map has always used:
+        # NumPy's SIMD forms are not bound to match them bit for bit.
+        c = np.array([math.cos(a) for a in angle.ravel()])[:, None]
+        s = np.array([math.sin(a) for a in angle.ravel()])[:, None]
         ex = w * abs(c) + h * abs(s)
         ey = w * abs(s) + h * abs(c)
-        ix_lo = max(int(math.floor(cx - ex - 0.5)), 0)
-        ix_hi = min(int(math.ceil(cx + ex - 0.5)), width - 1)
-        iy_lo = max(int(math.floor(cy - ey - 0.5)), 0)
-        iy_hi = min(int(math.ceil(cy + ey - 0.5)), height - 1)
-        if ix_lo > ix_hi or iy_lo > iy_hi:
-            continue
-        xs = np.arange(ix_lo, ix_hi + 1) + 0.5 - cx
-        ys = np.arange(iy_lo, iy_hi + 1) + 0.5 - cy
-        gx, gy = np.meshgrid(xs, ys)
+        iy, ix = np.divmod(cells, self.width)
+        inside = (
+            (ix >= np.floor(cx - ex - 0.5))
+            & (ix <= np.ceil(cx + ex - 0.5))
+            & (iy >= np.floor(cy - ey - 0.5))
+            & (iy <= np.ceil(cy + ey - 0.5))
+        )
+        gx = (ix + 0.5) - cx
+        gy = (iy + 0.5) - cy
         u = gx * c + gy * s
         v = -gx * s + gy * c
         inter = np.maximum(w - np.abs(u), 0.0) * np.maximum(h - np.abs(v), 0.0)
         iou = inter / (2.0 * w * h - inter)
-        cell_iy, cell_ix = np.meshgrid(np.arange(iy_lo, iy_hi + 1), np.arange(ix_lo, ix_hi + 1), indexing="ij")
-        flat = (cell_iy * width + cell_ix).ravel()
-        quality[flat] = np.maximum(quality[flat], iou.ravel())
-    return quality
-
-
-@dataclass
-class SupervisedTargets:
-    """Parameter-free training targets for one (scene, flip) view.
-
-    ``pos_flat`` are the positive cells, ascending, and ``pos_class``
-    their classes, both int32; ``encoded`` is the owner box's
-    :func:`~orientsemi.detector.encode_boxes` target and ``t_ctr`` the
-    centerness target at each.  The :func:`localization_quality_map` is
-    held sparse: its nonzero cells ``quality_cells`` (int32, ascending)
-    and their values ``quality_values``; every other cell reads +0.0, as
-    in the dense map."""
-
-    pos_flat: np.ndarray
-    pos_class: np.ndarray
-    encoded: tuple[np.ndarray, ...]
-    t_ctr: np.ndarray
-    quality_cells: np.ndarray
-    quality_values: np.ndarray
-
-    def quality_at(self, cells: np.ndarray) -> np.ndarray:
-        """The quality map's values at the flat ``cells``, bit for bit."""
-        slot = np.searchsorted(self.quality_cells, cells)
-        listed = slot < self.quality_cells.size
-        listed[listed] = self.quality_cells[slot[listed]] == cells[listed]
-        values = np.zeros(len(cells))
-        values[listed] = self.quality_values[slot[listed]]
-        return values
+        return np.where(inside, iou, 0.0).max(axis=0, initial=0.0)
 
 
 def build_supervised_targets(scene: SyntheticScene, height: int, width: int) -> SupervisedTargets:
     """Dense assignment: a cell is positive for the smallest ground-truth
     box containing its center (larger boxes painted first, so overwrites
     leave the smallest owner)."""
-    owner = np.full(height * width, -1, dtype=np.int64)
+    count = len(scene.boxes)
+    owner = np.full(height * width, count, dtype=np.min_scalar_type(count))
     areas = scene.boxes[:, 2] * scene.boxes[:, 3]
     for gi in np.argsort(-areas):
         box = RotatedBox(*scene.boxes[gi])
         iy, ix = grid_cells_in_box(box, height, width)
         owner[iy * width + ix] = gi
-    pos_flat = np.nonzero(owner >= 0)[0]
-    gt = owner[pos_flat]
-    boxes = scene.boxes[gt]
-    encoded = encode_boxes(boxes, pos_flat // width, pos_flat % width)
-    dx, dy = encoded[:2]
-    c = np.cos(boxes[:, 4])
-    s = np.sin(boxes[:, 4])
-    # Cell center in the box frame; distances to the four edges give the
-    # centerness target.
-    lx = -(dx * c + dy * s)
-    ly = -(-dx * s + dy * c)
-    half_w = boxes[:, 2] / 2.0
-    half_h = boxes[:, 3] / 2.0
-    ratio_x = (half_w - np.abs(lx)) / (half_w + np.abs(lx))
-    ratio_y = (half_h - np.abs(ly)) / (half_h + np.abs(ly))
-    t_ctr = np.sqrt(np.clip(ratio_x * ratio_y, 0.0, 1.0))
-    quality = localization_quality_map(scene, height, width)
-    quality_cells = np.flatnonzero(quality)
+    pos_flat = np.flatnonzero(owner < count).astype(np.int32)
     return SupervisedTargets(
-        pos_flat=pos_flat.astype(np.int32),
-        pos_class=scene.classes[gt].astype(np.int32),
-        encoded=encoded,
-        t_ctr=t_ctr,
-        quality_cells=quality_cells.astype(np.int32),
-        quality_values=quality[quality_cells],
+        boxes=scene.boxes,
+        classes=scene.classes,
+        width=width,
+        pos_flat=pos_flat,
+        owner=owner[pos_flat],
     )
 
 
@@ -303,6 +292,20 @@ class SupervisedWorkspace:
         return self.features
 
 
+def draw_negatives(pos: np.ndarray, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Up to ``size`` distinct cells of an N-cell grid outside the
+    ascending positive cells ``pos``, drawn as ``rng.choice`` draws from
+    the ascending list of those cells, without listing them: the j-th
+    negative is j plus the count of positives p_i with p_i - i <= j
+    (p_i - i negatives lie before the i-th positive).  Nothing is drawn
+    when every cell is positive."""
+    n_neg = n - pos.size
+    if not n_neg:
+        return np.empty(0, dtype=np.int64)
+    drawn = rng.choice(n_neg, size=min(size, n_neg), replace=False)
+    return drawn + np.searchsorted(pos - np.arange(pos.size), drawn, side="right")
+
+
 def supervised_loss(
     params: ToyDetectorParams,
     features: np.ndarray,
@@ -317,10 +320,12 @@ def supervised_loss(
     Classification is BCE over every cell and class; box regression,
     direction, and centerness are evaluated at positive cells; the
     predicted-IoU head trains on a per-step subsample of positives and
-    negatives against the geometric quality map.  All terms normalise by
-    the positive count.  The grid-sized arrays are written into
-    ``workspace``, or into a fresh one.  ``features`` is any (F, N)
-    matrix; the workspace's own ``features`` is read in place.
+    negatives against the geometric localisation quality.  All terms
+    normalise by the positive count.  The box, centerness and quality
+    targets are computed from ``targets`` at the cells read here: every
+    positive cell, and the drawn subsample.  The grid-sized arrays are
+    written into ``workspace``, or into a fresh one.  ``features`` is any
+    (F, N) matrix; the workspace's own ``features`` is read in place.
     """
     k = params.num_classes
     ws = SupervisedWorkspace.for_grid(k, *features.shape) if workspace is None else workspace
@@ -337,18 +342,19 @@ def supervised_loss(
     d_raw = ws.d_raw
     d_raw[k:] = 0.0
 
+    pos_class, encoded, t_ctr = targets.at_positives()
     cls_targets = ws.cls_targets
-    cls_targets[targets.pos_class, pos] = 1.0
+    cls_targets[pos_class, pos] = 1.0
     loss_cls = float(binary_cross_entropy(raw[:k], cls_targets, ws.cls_loss, ws.scratch).sum()) / n_pos
     d_cls = expit(raw[:k], out=d_raw[:k])
     d_cls -= cls_targets
     d_cls /= n_pos
-    cls_targets[targets.pos_class, pos] = 0.0
+    cls_targets[pos_class, pos] = 0.0
 
     loss_reg = 0.0
     loss_ctr = 0.0
     if pos.size:
-        errs, c_raw, s_raw, err_cos, err_sin, z_ctr = head_errors(raw, k, pos, targets.encoded)
+        errs, c_raw, s_raw, err_cos, err_sin, z_ctr = head_errors(raw, k, pos, encoded)
         for offset, err in errs.items():
             d_raw[k + offset, pos] = smooth_l1_grad(err) / n_pos
         dc, ds = _direction_grads(c_raw, s_raw, smooth_l1_grad(err_cos), smooth_l1_grad(err_sin))
@@ -359,27 +365,19 @@ def supervised_loss(
             + smooth_l1(err_cos).sum()
             + smooth_l1(err_sin).sum()
         ) / n_pos
-        loss_ctr = float(binary_cross_entropy(z_ctr, targets.t_ctr).sum()) / n_pos
-        d_raw[k + OFF_CTR, pos] = (expit(z_ctr) - targets.t_ctr) / n_pos
+        loss_ctr = float(binary_cross_entropy(z_ctr, t_ctr).sum()) / n_pos
+        d_raw[k + OFF_CTR, pos] = (expit(z_ctr) - t_ctr) / n_pos
 
     sample_pos = (
         rng.choice(pos, size=min(iou_pos_samples, pos.size), replace=False)
         if pos.size
         else np.empty(0, dtype=np.int64)
     )
-    neg_mask = np.ones(n, dtype=bool)
-    neg_mask[pos] = False
-    neg_pool = np.nonzero(neg_mask)[0]
-    sample_neg = (
-        rng.choice(neg_pool, size=min(iou_neg_samples, neg_pool.size), replace=False)
-        if neg_pool.size
-        else np.empty(0, dtype=np.int64)
-    )
-    sample = np.concatenate([sample_pos, sample_neg])
+    sample = np.concatenate([sample_pos, draw_negatives(pos, n, iou_neg_samples, rng)])
     loss_iou = 0.0
     if sample.size:
         z_iou = raw[k + OFF_IOU, sample]
-        t_iou = targets.quality_at(sample)
+        t_iou = targets.localization_quality(sample)
         loss_iou = float(binary_cross_entropy(z_iou, t_iou).sum()) / sample.size
         d_raw[k + OFF_IOU, sample] = (expit(z_iou) - t_iou) / sample.size
 
@@ -577,12 +575,14 @@ class Trainer:
     :func:`~orientsemi.detector.extract_features` returns, transposed to
     cell-major (N, F - 1) without its constant ones row.  A lookup casts
     the entry, or mirrors it for a flip, straight into the supervised
-    workspace's float64 ``features_t``.  Supervised targets, with their
-    quality map sparse, are memoised per (scene, flip).  Unlabeled
-    scenes are read once per step and not cached: drawn from a large
-    pool, few recur within a run.  Head outputs, their gradient and the
-    views' feature matrices are written into arrays allocated once per
-    run, which the next step overwrites.
+    workspace's float64 ``features_t``.  Supervised targets are memoised
+    per (scene, flip) at their true size, the positive cells and their
+    owner boxes (:class:`SupervisedTargets`),
+    and each step computes the box, centerness and quality targets it
+    reads from them.  Unlabeled scenes are read once per step and not
+    cached: drawn from a large pool, few recur within a run.  Head
+    outputs, their gradient and the views' feature matrices are written
+    into arrays allocated once per run, which the next step overwrites.
     """
 
     def __init__(self, config: RunConfig, labeled, unlabeled=None):
@@ -652,7 +652,8 @@ class Trainer:
 
     def targets_for(self, index: int, flip: bool) -> SupervisedTargets:
         """Supervised targets of labeled scene ``index``, from its ground
-        truth flipped if ``flip``; built once per (scene, flip)."""
+        truth flipped if ``flip``: the positive cells and their owner
+        boxes, assigned once per (scene, flip) and kept for the run."""
         key = (index, flip)
         if key not in self._targets:
             scene = self.labeled.scenes[index]

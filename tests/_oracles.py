@@ -8,7 +8,8 @@ matrix, the per-channel blur, the float32 feature cache per scene view,
 feature extraction that concatenates separately allocated rows, scene
 rendering over a meshgrid, NMS over a list of box objects, the
 full sort of capped grid cells, mAP matching that clips each pair once
-per threshold) are kept here, and the fast paths must match them bit
+per threshold, supervised targets precomputed for every positive cell
+with a dense localisation-quality map) are kept here, and the fast paths must match them bit
 for bit.  The scalar closed form of the pair weight
 (:func:`modulating_factor`) is the reference for
 ``weighting.pair_weights``, which groups the same formula differently
@@ -26,8 +27,9 @@ from scipy.ndimage import gaussian_filter, uniform_filter
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
+from orientsemi.detector import encode_boxes
 from orientsemi.evaluation import _interpolated_ap
-from orientsemi.geometry import RotatedBox, rotated_iou
+from orientsemi.geometry import RotatedBox, grid_cells_in_box, rotated_iou
 from orientsemi.scenes import SceneConfig, SyntheticScene, flip_scene, strong_augment
 from orientsemi.training import Trainer
 
@@ -407,6 +409,92 @@ class PerViewFloat32Trainer(Trainer):
             self.unlabeled.scenes[index], self.unlabeled.channels(index), rng, self.config.augment_config(), flip=flip
         )
         return scene, weak, concatenated_features(strong)
+
+
+def localization_quality_map(scene: SyntheticScene, height: int, width: int) -> np.ndarray:
+    """Per-cell localisation quality over the whole grid: per box, the
+    IoU of a congruent box at each cell of its window, and the max over
+    boxes (``SupervisedTargets.localization_quality`` at every cell)."""
+    quality = np.zeros(height * width)
+    for row in scene.boxes:
+        cx, cy, w, h, angle = row
+        c, s = math.cos(angle), math.sin(angle)
+        ex = w * abs(c) + h * abs(s)
+        ey = w * abs(s) + h * abs(c)
+        ix_lo = max(int(math.floor(cx - ex - 0.5)), 0)
+        ix_hi = min(int(math.ceil(cx + ex - 0.5)), width - 1)
+        iy_lo = max(int(math.floor(cy - ey - 0.5)), 0)
+        iy_hi = min(int(math.ceil(cy + ey - 0.5)), height - 1)
+        if ix_lo > ix_hi or iy_lo > iy_hi:
+            continue
+        xs = np.arange(ix_lo, ix_hi + 1) + 0.5 - cx
+        ys = np.arange(iy_lo, iy_hi + 1) + 0.5 - cy
+        gx, gy = np.meshgrid(xs, ys)
+        u = gx * c + gy * s
+        v = -gx * s + gy * c
+        inter = np.maximum(w - np.abs(u), 0.0) * np.maximum(h - np.abs(v), 0.0)
+        iou = inter / (2.0 * w * h - inter)
+        cell_iy, cell_ix = np.meshgrid(np.arange(iy_lo, iy_hi + 1), np.arange(ix_lo, ix_hi + 1), indexing="ij")
+        flat = (cell_iy * width + cell_ix).ravel()
+        quality[flat] = np.maximum(quality[flat], iou.ravel())
+    return quality
+
+
+@dataclass
+class DenseSupervisedTargets:
+    """Every target a supervised step can read, precomputed: the positive
+    cells and their classes, the six box targets and the centerness at
+    each, and the quality map over the whole grid."""
+
+    pos_flat: np.ndarray
+    pos_class: np.ndarray
+    encoded: tuple[np.ndarray, ...]
+    t_ctr: np.ndarray
+    quality: np.ndarray
+
+
+def dense_supervised_targets(scene: SyntheticScene, height: int, width: int) -> DenseSupervisedTargets:
+    """``training.build_supervised_targets`` with every target computed
+    up front, from an int64 owner map."""
+    owner = np.full(height * width, -1, dtype=np.int64)
+    areas = scene.boxes[:, 2] * scene.boxes[:, 3]
+    for gi in np.argsort(-areas):
+        box = RotatedBox(*scene.boxes[gi])
+        iy, ix = grid_cells_in_box(box, height, width)
+        owner[iy * width + ix] = gi
+    pos_flat = np.nonzero(owner >= 0)[0]
+    gt = owner[pos_flat]
+    boxes = scene.boxes[gt]
+    encoded = encode_boxes(boxes, pos_flat // width, pos_flat % width)
+    dx, dy = encoded[:2]
+    c = np.cos(boxes[:, 4])
+    s = np.sin(boxes[:, 4])
+    lx = -(dx * c + dy * s)
+    ly = -(-dx * s + dy * c)
+    half_w = boxes[:, 2] / 2.0
+    half_h = boxes[:, 3] / 2.0
+    ratio_x = (half_w - np.abs(lx)) / (half_w + np.abs(lx))
+    ratio_y = (half_h - np.abs(ly)) / (half_h + np.abs(ly))
+    t_ctr = np.sqrt(np.clip(ratio_x * ratio_y, 0.0, 1.0))
+    return DenseSupervisedTargets(
+        pos_flat=pos_flat,
+        pos_class=scene.classes[gt],
+        encoded=encoded,
+        t_ctr=t_ctr,
+        quality=localization_quality_map(scene, height, width),
+    )
+
+
+def neg_pool_draw(pos: np.ndarray, n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """The IoU head's negative draw from the listed pool of the ``n``
+    cells outside ``pos``, as ``training.supervised_loss`` drew it with
+    an N-cell mask (nothing is drawn from an empty pool)."""
+    neg_mask = np.ones(n, dtype=bool)
+    neg_mask[pos] = False
+    neg_pool = np.nonzero(neg_mask)[0]
+    if not neg_pool.size:
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(neg_pool, size=min(size, neg_pool.size), replace=False)
 
 
 def meshgrid_render_scene(scene: SyntheticScene, config: SceneConfig, rng: np.random.Generator) -> np.ndarray:

@@ -32,14 +32,21 @@ from orientsemi.training import (
     init_state,
     learning_rate_at,
     load_checkpoint,
-    localization_quality_map,
     run_training,
     save_checkpoint,
     supervised_loss,
     weighted_pair_loss,
 )
 from orientsemi import training
-from tests._oracles import PairGeometry, PerViewFloat32Trainer, fd_gradient, modulating_factor
+from tests._oracles import (
+    PairGeometry,
+    PerViewFloat32Trainer,
+    dense_supervised_targets,
+    fd_gradient,
+    localization_quality_map,
+    modulating_factor,
+    neg_pool_draw,
+)
 
 
 def tiny_scene_config(**kwargs) -> SceneConfig:
@@ -80,6 +87,9 @@ def make_datasets(config: RunConfig, n_labeled=2, n_unlabeled=2):
 
 
 class TestQualityMap:
+    """The dense oracle map; the per-step form must equal it bit for bit
+    (:class:`TestSupervisedTargets`)."""
+
     def test_one_at_cell_aligned_center(self):
         scene_box = RotatedBox(8.5, 6.5, 5.0, 3.0, 0.7)
         from orientsemi.scenes import SyntheticScene
@@ -131,14 +141,37 @@ class TestQualityMap:
         assert quality.max() <= 1.0
 
 
+def target_view(kind: str, seed: int) -> SyntheticScene:
+    """One ground-truth view of each kind the targets must handle."""
+    rng = np.random.default_rng(seed)
+    if kind == "no-boxes":
+        return SyntheticScene(height=32, width=32, boxes=np.empty((0, 5)),
+                              classes=np.empty(0, dtype=np.int64), layout="uniform")
+    if kind == "border":
+        # Centers on or just past the canvas edges, so windows clip.
+        n = int(rng.integers(1, 6))
+        edge = rng.integers(0, 2, size=(n, 2)) * 32.0 + rng.uniform(-2.0, 2.0, size=(n, 2))
+        sides = rng.uniform(2.0, 12.0, size=(n, 2))
+        boxes = np.column_stack([edge, sides, rng.uniform(-math.pi / 2, math.pi / 2, size=n)])
+        return SyntheticScene(height=32, width=32, boxes=boxes, classes=rng.integers(0, 3, size=n),
+                              layout="uniform")
+    config = {
+        "clustered": tiny_scene_config(height=96, width=96, layout="clustered", density=0.0025),
+        "256x256": SceneConfig(),
+    }.get(kind, tiny_scene_config())
+    scene, _ = generate_scene(config, rng)
+    return flip_ground_truth(scene) if kind == "flipped" else scene
+
+
 class TestSupervisedTargets:
     def test_positive_cells_and_values(self):
         config = tiny_scene_config(noise_sigma=0.0)
         scene, _ = generate_scene(config, np.random.default_rng(42))
         targets = build_supervised_targets(scene, config.height, config.width)
+        _, encoded, t_ctr = targets.at_positives()
         assert targets.pos_flat.size > 0
-        assert np.all(targets.t_ctr >= 0.0) and np.all(targets.t_ctr <= 1.0)
-        t_dx, _, _, _, t_cos, t_sin = targets.encoded
+        assert np.all(t_ctr >= 0.0) and np.all(t_ctr <= 1.0)
+        t_dx, _, _, _, t_cos, t_sin = encoded
         # Direction targets are on the doubled-angle unit circle.
         np.testing.assert_allclose(t_cos**2 + t_sin**2, 1.0, atol=1e-12)
         # Offsets stay within the owner box's AABB half-diagonal.
@@ -161,7 +194,7 @@ class TestSupervisedTargets:
         # Cell at the shared center must belong to the small box (class 1).
         at_center = targets.pos_flat == 10 * 24 + 10
         assert at_center.sum() == 1
-        assert targets.pos_class[at_center][0] == 1
+        assert targets.at_positives()[0][at_center][0] == 1
 
     def test_centered_cell_has_unit_centerness(self):
         from orientsemi.scenes import SyntheticScene
@@ -176,7 +209,7 @@ class TestSupervisedTargets:
         )
         targets = build_supervised_targets(scene, 16, 16)
         at_center = targets.pos_flat == 8 * 16 + 8
-        assert targets.t_ctr[at_center][0] == pytest.approx(1.0, abs=1e-12)
+        assert targets.at_positives()[2][at_center][0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("view", ["unflipped", "flipped", "no-boxes"])
     def test_sparse_quality_equals_dense_map(self, view):
@@ -191,13 +224,73 @@ class TestSupervisedTargets:
         dense = localization_quality_map(scene, config.height, config.width)
         assert (np.count_nonzero(dense) > 0) == (view != "no-boxes")
         cells = np.arange(dense.size)
-        np.testing.assert_array_equal(targets.quality_at(cells).view(np.uint64), dense.view(np.uint64))
+        every = targets.localization_quality(cells)
+        np.testing.assert_array_equal(every.view(np.uint64), dense.view(np.uint64))
+        np.testing.assert_array_equal(np.flatnonzero(every), np.flatnonzero(dense))
         # In the order and with the repeats of a draw.
         picks = np.random.default_rng(3).integers(0, dense.size, size=300)
-        np.testing.assert_array_equal(targets.quality_at(picks).view(np.uint64), dense[picks].view(np.uint64))
-        for cells in (targets.quality_cells, targets.pos_flat, targets.pos_class):
-            assert cells.dtype == np.int32
-        assert np.all(np.diff(targets.quality_cells) > 0) and np.all(np.diff(targets.pos_flat) > 0)
+        np.testing.assert_array_equal(targets.localization_quality(picks).view(np.uint64),
+                                      dense[picks].view(np.uint64))
+        assert targets.pos_flat.dtype == np.int32 and targets.owner.dtype == np.uint8
+        assert np.all(np.diff(targets.pos_flat) > 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["unflipped", "flipped", "no-boxes", "border", "clustered", "256x256"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_per_step_targets_equal_dense_oracle(self, kind, seed):
+        scene = target_view(kind, seed)
+        height, width = scene.height, scene.width
+        targets = build_supervised_targets(scene, height, width)
+        oracle = dense_supervised_targets(scene, height, width)
+        pos_class, encoded, t_ctr = targets.at_positives()
+        np.testing.assert_array_equal(targets.pos_flat, oracle.pos_flat)
+        np.testing.assert_array_equal(pos_class, oracle.pos_class)
+        for value, expected in zip((*encoded, t_ctr), (*oracle.encoded, oracle.t_ctr)):
+            np.testing.assert_array_equal(value.view(np.uint64), expected.view(np.uint64))
+        # Every cell, then a draw: unsorted, with repeats, and with the
+        # positive cells among them.
+        rng = np.random.default_rng(seed)
+        drawn = np.concatenate([rng.integers(0, height * width, size=200), rng.permutation(targets.pos_flat)[:50]])
+        for cells in (np.arange(height * width), drawn):
+            np.testing.assert_array_equal(targets.localization_quality(cells).view(np.uint64),
+                                          oracle.quality[cells].view(np.uint64))
+        assert targets.owner.dtype == np.min_scalar_type(len(scene.boxes))
+        assert targets.pos_flat.dtype == np.int32 and np.all(np.diff(targets.pos_flat) > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        share=st.floats(0.0, 1.0),
+        size=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_negative_draw_equals_listed_pool(self, n, share, size, seed):
+        rng = np.random.default_rng(seed)
+        pos = np.sort(rng.choice(n, size=int(round(share * n)), replace=False)).astype(np.int32)
+        self._check_negative_draw(pos, n, size, seed)
+
+    @pytest.mark.parametrize("positives", ["none", "all but one", "all"])
+    def test_negative_draw_edge_cases(self, positives):
+        n = 64
+        pos = {"none": np.empty(0, dtype=np.int32), "all but one": np.delete(np.arange(n, dtype=np.int32), 17),
+               "all": np.arange(n, dtype=np.int32)}[positives]
+        drawn = self._check_negative_draw(pos, n, 16, 5)
+        assert drawn.size == {"none": 16, "all but one": 1, "all": 0}[positives]
+        assert positives != "all but one" or drawn.tolist() == [17]
+
+    @staticmethod
+    def _check_negative_draw(pos, n, size, seed):
+        # The same cells, in the same order, and the generator left in the
+        # same state.
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = training.draw_negatives(pos, n, size, new_rng)
+        np.testing.assert_array_equal(drawn, neg_pool_draw(pos, n, size, old_rng))
+        assert drawn.dtype == np.int64
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        assert not np.isin(drawn, pos).any() and np.unique(drawn).size == drawn.size
+        return drawn
 
 
 class TestSupervisedLoss:
@@ -695,10 +788,10 @@ class TestFeaturePath:
 
     def test_retained_state_per_view(self):
         # Once every (scene, flip) pair has been looked up: one cell-major
-        # float32 entry of F - 1 columns per scene, and per target its int32
-        # cell and class indices, seven float64 values per positive cell
-        # (six box targets and centerness) and 12 bytes per nonzero
-        # quality cell (an int32 index and a float64 value).
+        # float32 entry of F - 1 columns per scene, and per target at most
+        # 8 bytes per positive cell (an int32 index and its owner box's
+        # index) and the view's ground truth, 48 bytes per box (five
+        # float64 values and an int64 class).
         config = tiny_run_config(flip_probability=0.5, labeled_batch=3)
         labeled, unlabeled = make_datasets(config, n_labeled=3, n_unlabeled=1)
         trainer = Trainer(config, labeled, unlabeled)
@@ -712,10 +805,10 @@ class TestFeaturePath:
         assert trainer._feature_bytes == sum(entry.nbytes for entry in trainer._features.values())
         assert trainer._feature_bytes == 3 * 4 * columns * cells
         for targets in trainer._targets.values():
-            arrays = (targets.pos_flat, targets.pos_class, *targets.encoded, targets.t_ctr,
-                      targets.quality_cells, targets.quality_values)
+            arrays = (targets.pos_flat, targets.owner, targets.boxes, targets.classes)
             held = sum(array.nbytes for array in arrays)
-            assert held <= 64 * targets.pos_flat.size + 12 * targets.quality_cells.size
+            assert targets.pos_flat.size > 0
+            assert held <= 8 * targets.pos_flat.size + 48 * len(targets.boxes)
 
     def test_same_bytes_as_per_view_float32_oracle(self, tmp_path, monkeypatch):
         config = tiny_run_config(flip_probability=0.5)
@@ -729,7 +822,7 @@ class TestFeaturePath:
         assert {view["flip"] for view in views} == {False, True}
         assert sum(view["n_pairs"] for view in views) > 0
 
-    @pytest.mark.parametrize("semi, budget", [(False, 0.25), (True, 1)], ids=["supervised", "semi"])
+    @pytest.mark.parametrize("semi, budget", [(False, 0.05), (True, 1)], ids=["supervised", "semi"])
     def test_warm_step_allocates_under_budget(self, semi, budget):
         # Budget in float64 feature matrices of the grid.  Flipped labeled
         # views run the mirror; the unlabeled view samples pairs and runs
