@@ -178,13 +178,8 @@ def build_supervised_targets(scene: SyntheticScene, height: int, width: int) -> 
         iy, ix = grid_cells_in_box(box, height, width)
         owner[iy * width + ix] = gi
     pos_flat = np.flatnonzero(owner < count).astype(np.int32)
-    return SupervisedTargets(
-        boxes=scene.boxes,
-        classes=scene.classes,
-        width=width,
-        pos_flat=pos_flat,
-        owner=owner[pos_flat],
-    )
+    return SupervisedTargets(boxes=scene.boxes, classes=scene.classes, width=width,
+                             pos_flat=pos_flat, owner=owner[pos_flat])
 
 
 def _direction_grads(
