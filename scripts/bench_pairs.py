@@ -22,6 +22,7 @@ against ``SCHEMA`` and recomputes its summaries from its runs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -199,12 +200,8 @@ def export(tree: str, into: Path) -> str:
     revision = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{tree}^{{commit}}"],
                               capture_output=True, text=True, check=True).stdout.strip()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", revision], capture_output=True, check=True).stdout
-    into.mkdir(parents=True)
-    archive_path = into.with_suffix(".tar")
-    archive_path.write_bytes(archive)
-    with tarfile.open(archive_path) as tar:
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
-    archive_path.unlink()
     return revision
 
 

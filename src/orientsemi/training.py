@@ -572,12 +572,12 @@ class Trainer:
     the entry, or mirrors it for a flip, straight into the supervised
     workspace's float64 ``features_t``.  Supervised targets are memoised
     per (scene, flip) at their true size, the positive cells and their
-    owner boxes (:class:`SupervisedTargets`),
-    and each step computes the box, centerness and quality targets it
-    reads from them.  Unlabeled scenes are read once per step and not
-    cached: drawn from a large pool, few recur within a run.  Head
-    outputs, their gradient and the views' feature matrices are written
-    into arrays allocated once per run, which the next step overwrites.
+    owner boxes (:class:`SupervisedTargets`), and each step computes the
+    box, centerness and quality targets it reads from them.  Unlabeled
+    scenes are read once per step and not cached: drawn from a large
+    pool, few recur within a run.  Head outputs, their gradient and the
+    views' feature matrices are written into arrays allocated once per
+    run, which the next step overwrites.
     """
 
     def __init__(self, config: RunConfig, labeled, unlabeled=None):

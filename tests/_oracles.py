@@ -9,8 +9,9 @@ feature extraction that concatenates separately allocated rows, scene
 rendering over a meshgrid, NMS over a list of box objects, the
 full sort of capped grid cells, mAP matching that clips each pair once
 per threshold, supervised targets precomputed for every positive cell
-with a dense localisation-quality map) are kept here, and the fast paths must match them bit
-for bit.  The scalar closed form of the pair weight
+with a dense localisation-quality map, the IoU head's negatives drawn
+from a listed pool) are kept here, and the fast paths must match them
+bit for bit.  The scalar closed form of the pair weight
 (:func:`modulating_factor`) is the reference for
 ``weighting.pair_weights``, which groups the same formula differently
 and so agrees to rounding.
